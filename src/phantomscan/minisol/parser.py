@@ -3,7 +3,9 @@
 `parse` builds the tree, `load` additionally resolves every identifier
 against the contract's declarations.  Multiplication is only accepted
 with a literal operand, which keeps downstream constraint reasoning
-linear.
+linear.  Nesting (blocks, parentheses, keys, `!`) and expression trees
+are limited to `MAX_DEPTH` levels, so neither this parser nor the
+recursive passes over its trees can exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from .lexer import Token, tokenize
 
 _TYPE_KEYWORDS = set(ast.SCALAR_TYPES)
 
+MAX_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = tokenize(source)
         self.i = 0
+        self.depth = 0  # open blocks and nested expressions
 
     # ----------------------------------------------------------- primitives
 
@@ -51,6 +56,17 @@ class _Parser:
             return self.advance()
         t = self.tok
         raise SyntaxError(t.line, t.col, what, found=repr(t.text or "end of input"))
+
+    def enter(self) -> None:
+        """Open one level of nesting; `leave` closes it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            t = self.tok
+            raise SyntaxError(t.line, t.col, f"at most {MAX_DEPTH} levels of nesting",
+                              found=repr(t.text or "end of input"))
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def type_name(self) -> Token:
         if self.tok.kind == "KEYWORD" and self.tok.text in _TYPE_KEYWORDS:
@@ -154,9 +170,11 @@ class _Parser:
 
     def block(self) -> tuple[tuple[ast.Node, ...], int]:
         self.expect("{")
+        self.enter()
         stmts: list[ast.Node] = []
         while not self.at("}"):
             stmts.append(self.statement())
+        self.leave()
         close = self.expect("}")
         return tuple(stmts), close.end
 
@@ -253,7 +271,15 @@ class _Parser:
     # ----------------------------------------------------------- expressions
 
     def expr(self) -> ast.Node:
-        return self._or()
+        """A whole expression; nested ones (parentheses, keys) re-enter here."""
+        start = self.tok
+        self.enter()
+        e = self._or()
+        self.leave()
+        if _height(e) > MAX_DEPTH:
+            raise SyntaxError(start.line, start.col,
+                              f"an expression at most {MAX_DEPTH} levels deep")
+        return e
 
     def _binary_chain(self, sub, ops) -> ast.Node:
         left = sub()
@@ -288,7 +314,9 @@ class _Parser:
     def _unary(self) -> ast.Node:
         if self.at("!"):
             bang = self.advance()
+            self.enter()
             operand = self._unary()
+            self.leave()
             return ast.Unary(op="!", operand=operand,
                              span=(bang.pos, operand.span[1]))
         return self._primary()
@@ -334,6 +362,22 @@ class _Parser:
             return ast.Name(ident=t.text, span=(t.pos, t.end))
         raise SyntaxError(t.line, t.col, "an expression",
                           found=repr(t.text or "end of input"))
+
+
+def _height(e: ast.Node) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    height = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, ast.Binary):
+            stack += ((node.left, level + 1), (node.right, level + 1))
+        elif isinstance(node, ast.Unary):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, ast.Index):
+            stack.append((node.key, level + 1))
+    return height
 
 
 def _respan(node: ast.Node, span: tuple[int, int]) -> ast.Node:

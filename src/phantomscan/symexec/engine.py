@@ -263,10 +263,6 @@ def search_paths(contract: ast.Contract, fn_name: str,
 
 # ------------------------------------------------------------------- checks
 
-def _entry_functions(contract: ast.Contract) -> list[ast.Function]:
-    return [f for f in contract.functions if f.is_entry]
-
-
 def _validated_atoms(path: Path) -> set[SymValue]:
     out: set[SymValue] = set()
     for c in path.conjuncts:
@@ -278,12 +274,20 @@ def _validated_atoms(path: Path) -> set[SymValue]:
     return out
 
 
-def check_logging_inconsistency(contract: ast.Contract) -> list[SourceFinding]:
+def _entry_path_sets(contract: ast.Contract) -> list[PathSet]:
+    return [search_paths(contract, f.name) for f in contract.functions if f.is_entry]
+
+
+def check_logging_inconsistency(contract: ast.Contract,
+                                path_sets: list[PathSet] | None = None
+                                ) -> list[SourceFinding]:
     """Flag emissions carrying sender-controlled values that the path
-    neither constrains nor records in storage."""
+    neither constrains nor records in storage.  `path_sets` are the
+    entry functions' paths, searched here when not given."""
+    if path_sets is None:
+        path_sets = _entry_path_sets(contract)
     findings: dict[tuple, SourceFinding] = {}
-    for fn in _entry_functions(contract):
-        ps = search_paths(contract, fn.name)
+    for ps in path_sets:
         for path in ps.paths:
             if not path.emits:
                 continue
@@ -297,7 +301,7 @@ def check_logging_inconsistency(contract: ast.Contract) -> list[SourceFinding]:
                         unvalidated[param.name] = sorted(str(a) for a in bad)
                 if not unvalidated:
                     continue
-                key = (fn.name, emit.event,
+                key = (ps.function, emit.event,
                        tuple(sorted((k, tuple(v)) for k, v in unvalidated.items())))
                 if key in findings:
                     findings[key].detail["paths"] += 1
@@ -307,26 +311,30 @@ def check_logging_inconsistency(contract: ast.Contract) -> list[SourceFinding]:
                     event=event.signature,
                     topic0=event_topic(event.signature),
                     contract=contract.name,
-                    functions=(fn.name,),
+                    functions=(ps.function,),
                     confidence="INCOMPLETE" if ps.truncated else "CONFIRMED",
                     detail={"unvalidated": unvalidated, "paths": 1},
                 )
     return sorted(findings.values(), key=SourceFinding.sort_key)
 
 
-def check_counterfeit_pair(contract: ast.Contract) -> list[SourceFinding]:
+def check_counterfeit_pair(contract: ast.Contract,
+                           path_sets: list[PathSet] | None = None
+                           ) -> list[SourceFinding]:
     """Find two entry points that can emit byte-identical payloads of
-    the same event under compatible constraints."""
+    the same event under compatible constraints.  `path_sets` are the
+    entry functions' paths, searched here when not given."""
+    if path_sets is None:
+        path_sets = _entry_path_sets(contract)
     emitters: dict[str, dict[str, list[tuple[Path, EmitRecord]]]] = {}
     truncated_fns: set[str] = set()
-    for fn in _entry_functions(contract):
-        ps = search_paths(contract, fn.name)
+    for ps in path_sets:
         if ps.truncated:
-            truncated_fns.add(fn.name)
+            truncated_fns.add(ps.function)
         for path in ps.paths:
             for emit in path.emits:
                 emitters.setdefault(emit.event, {}) \
-                        .setdefault(fn.name, []).append((path, emit))
+                        .setdefault(ps.function, []).append((path, emit))
 
     findings: list[SourceFinding] = []
     for event_name in sorted(emitters):
@@ -366,6 +374,7 @@ def check_counterfeit_pair(contract: ast.Contract) -> list[SourceFinding]:
 
 
 def analyze_source(contract: ast.Contract) -> list[SourceFinding]:
-    findings = check_counterfeit_pair(contract)
-    findings += check_logging_inconsistency(contract)
+    path_sets = _entry_path_sets(contract)
+    findings = check_counterfeit_pair(contract, path_sets)
+    findings += check_logging_inconsistency(contract, path_sets)
     return sorted(findings, key=SourceFinding.sort_key)

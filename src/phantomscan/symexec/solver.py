@@ -3,9 +3,12 @@
 Formulas are conjunctions of linear comparisons over unsigned bounded
 integers (uint256, address, bool as 0/1, bytes as opaque ids).  The
 pipeline: normalize to atoms (conjunction splitting, negation pushing,
-constant folding), then interval propagation plus exhaustive
-enumeration of small domains and binary branch-and-bound for large
-ones, under a node budget.
+constant folding), then interval propagation inside a depth-first
+search under a node budget.  The search fixes the narrowest open
+variable to its lower bound first and splits the rest of a large range
+in two; small domains are enumerated.  Propagation that cannot settle
+(a cycle such as x < y, y < x) is decided by Fourier-Motzkin
+elimination.
 
 Verdicts are honest: SAT only with a model that re-evaluates every
 original conjunct to true, UNSAT only when the search space was covered
@@ -16,6 +19,8 @@ exhaustion, or a model that fails re-evaluation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd
 
 from .values import (
     ARITH_OPS,
@@ -35,6 +40,7 @@ from .values import (
 
 DEFAULT_NODE_BUDGET = 4096
 ENUM_LIMIT = 64
+ELIMINATION_PAIRS = 400
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -157,21 +163,87 @@ def _normalize(conjunct: SymValue, positive: bool, out: list[_Atom]) -> None:
     raise _NonLinear
 
 
-def _cdiv_floor(a: int, b: int) -> int:
-    return a // b
-
-
 def _cdiv_ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _add_row(rows: dict[tuple[int, ...], int], coeffs: list[int], k: int) -> bool:
+    """Add the row sum(coeffs[i] * s_i) + k <= 0, divided by the gcd of
+    its coefficients with k rounded up, which every integer solution
+    still satisfies.  True when the row has no variables left and is
+    false: 0 + k <= 0 with k > 0."""
+    g = reduce(gcd, coeffs, 0)
+    if g == 0:
+        return k > 0
+    key = tuple(c // g for c in coeffs)
+    k = -(-k // g)
+    if rows.get(key, k) <= k:
+        rows[key] = k
+    return False
+
+
+def _eliminated_to_contradiction(atoms_: list[_Atom],
+                                 bounds: dict[SymValue, tuple[int, int]]) -> bool:
+    """Fourier-Motzkin elimination over the atoms and bounds ("ne" atoms
+    aside).  True proves that no integer point satisfies them: the
+    typical case is a negative cycle of differences, x < y with y < x,
+    through which propagation tightens by a constant per sweep.  False
+    means no proof, also when a variable would combine more than
+    ELIMINATION_PAIRS pairs of rows."""
+    syms = list(bounds)
+    rows: dict[tuple[int, ...], int] = {}
+    for a in atoms_:
+        if a.op == "ne":
+            continue
+        coeffs = [0] * len(syms)
+        for s, c in a.coeffs:
+            coeffs[syms.index(s)] = c
+        _add_row(rows, coeffs, a.const + (a.op == "lt"))
+        if a.op == "eq":
+            _add_row(rows, [-c for c in coeffs], -a.const)
+    for i, s in enumerate(syms):
+        lo, hi = bounds[s]
+        unit = [0] * len(syms)
+        unit[i] = 1
+        _add_row(rows, unit, -hi)
+        _add_row(rows, [-c for c in unit], lo)
+
+    def pairs(i: int) -> int:
+        return sum(c[i] > 0 for c in rows) * sum(c[i] < 0 for c in rows)
+
+    todo = set(range(len(syms)))
+    while todo:
+        i = min(todo, key=lambda j: (pairs(j), j))
+        todo.discard(i)
+        if pairs(i) > ELIMINATION_PAIRS:
+            return False
+        pos = [(c, k) for c, k in rows.items() if c[i] > 0]
+        neg = [(c, k) for c, k in rows.items() if c[i] < 0]
+        rows = {c: k for c, k in rows.items() if c[i] == 0}
+        for cp, kp in pos:
+            for cn, kn in neg:
+                m, n = -cn[i], cp[i]
+                if _add_row(rows, [m * x + n * y for x, y in zip(cp, cn)], m * kp + n * kn):
+                    return True
+    return False
+
+
 def _propagate(atoms_: list[_Atom],
                bounds: dict[SymValue, tuple[int, int]]) -> bool:
-    """Tighten bounds to a fixpoint.  False means contradiction."""
+    """Tighten bounds to a fixpoint.  False means contradiction.
+
+    A cycle of atoms such as x < y, y < x tightens bounds by a constant
+    per sweep and never settles, so when the sweeps run out without a
+    fixpoint, elimination decides instead."""
     for _ in range(200):
         changed = False
         for a in atoms_:
             if a.op == "ne":
+                # decided as soon as its variables are fixed, not at a leaf
+                fixed = {s: bounds[s][0] for s, _ in a.coeffs
+                         if bounds[s][0] == bounds[s][1]}
+                if len(fixed) == len(a.coeffs) and not a.holds(fixed):
+                    return False
                 continue
             for s, c in a.coeffs:
                 rmin = a.const
@@ -187,7 +259,7 @@ def _propagate(atoms_: list[_Atom],
                 # need: c*s + R + slack <= 0 for some feasible R
                 if a.op in ("le", "lt", "eq"):
                     if c > 0:
-                        new_hi = _cdiv_floor(-rmin - slack, c)
+                        new_hi = (-rmin - slack) // c
                         if new_hi < hi:
                             hi = new_hi
                             changed = True
@@ -204,7 +276,7 @@ def _propagate(atoms_: list[_Atom],
                             lo = new_lo
                             changed = True
                     else:
-                        new_hi = _cdiv_floor(-rmax, c)
+                        new_hi = -rmax // c
                         if new_hi < hi:
                             hi = new_hi
                             changed = True
@@ -213,46 +285,44 @@ def _propagate(atoms_: list[_Atom],
                 bounds[s] = (lo, hi)
         if not changed:
             return True
-    return True
+    return not _eliminated_to_contradiction(atoms_, bounds)
 
 
 def _search(atoms_: list[_Atom], bounds: dict[SymValue, tuple[int, int]],
-            budget: list[int]):
-    """Returns a model dict, "unsat", or "budget"."""
-    if budget[0] <= 0:
-        return "budget"
-    budget[0] -= 1
-    bounds = dict(bounds)
-    if not _propagate(atoms_, bounds):
-        return "unsat"
+            budget: int):
+    """Depth-first search over an explicit stack of bounds maps, one node
+    per pop.  Returns a model dict, "unsat", or "budget".
 
-    open_syms = [(hi - lo, s) for s, (lo, hi) in bounds.items() if lo < hi]
-    if not open_syms:
-        model = {s: lo for s, (lo, _) in bounds.items()}
-        return model if all(a.holds(model) for a in atoms_) else "unsat"
+    The narrowest open variable is split lower-bound first: a wide range
+    lo..hi becomes lo, lo+1..mid, mid+1..hi, and an enumerable one its
+    values in order.  The children cover exactly their parent's range,
+    so an emptied stack means the space was covered completely."""
+    stack = [bounds]
+    while stack:
+        if budget <= 0:
+            return "budget"
+        budget -= 1
+        bounds = stack.pop()
+        if not _propagate(atoms_, bounds):
+            continue
 
-    open_syms.sort(key=lambda p: (p[0], repr(p[1])))
-    width, sym = open_syms[0]
-    lo, hi = bounds[sym]
-    hit_budget = False
-    if width + 1 <= ENUM_LIMIT:
-        for v in range(lo, hi + 1):
-            bounds[sym] = (v, v)
-            r = _search(atoms_, bounds, budget)
-            if isinstance(r, dict):
-                return r
-            if r == "budget":
-                hit_budget = True
-    else:
-        mid = (lo + hi) // 2
-        for piece in ((lo, mid), (mid + 1, hi)):
-            bounds[sym] = piece
-            r = _search(atoms_, bounds, budget)
-            if isinstance(r, dict):
-                return r
-            if r == "budget":
-                hit_budget = True
-    return "budget" if hit_budget else "unsat"
+        open_syms = [(hi - lo, s) for s, (lo, hi) in bounds.items() if lo < hi]
+        if not open_syms:
+            model = {s: lo for s, (lo, _) in bounds.items()}
+            if all(a.holds(model) for a in atoms_):
+                return model
+            continue
+
+        width, sym = min(open_syms, key=lambda p: (p[0], repr(p[1])))
+        lo, hi = bounds[sym]
+        if width + 1 <= ENUM_LIMIT:
+            pieces = [(v, v) for v in range(lo, hi + 1)]
+        else:
+            mid = (lo + hi) // 2
+            pieces = [(lo, lo), (lo + 1, mid), (mid + 1, hi)]
+        for piece in reversed(pieces):
+            stack.append({**bounds, sym: piece})
+    return "unsat"
 
 
 def _storage_consistent(model: dict[SymValue, int]) -> bool:
@@ -304,7 +374,7 @@ def solve(conjuncts: list[SymValue],
         for s, _ in a.coeffs:
             bounds.setdefault(s, SORT_BOUNDS[sort_of(s)])
 
-    result = _search(atoms_, bounds, [node_budget])
+    result = _search(atoms_, bounds, node_budget)
     if result == "unsat":
         return UNSAT, None
     if result == "budget":

@@ -109,6 +109,55 @@ class TestSyntaxErrors:
             minisol.parse("contract C { } contract D { }")
 
 
+def require_of(cond: str) -> str:
+    return ("contract C { uint256 a;\nfunction f(uint256 x) external {\n"
+            "require(" + cond + ");\n} }")
+
+
+class TestNestingLimit:
+    """Deep input is rejected with a positioned SyntaxError, never a
+    RecursionError."""
+
+    def test_two_hundred_parentheses(self):
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load(require_of("(" * 200 + "x" + ")" * 200 + " > 0"))
+        assert exc.value.line == 3 and exc.value.col > 1
+        assert "nesting" in exc.value.expected
+
+    def test_long_operator_chain(self):
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load(require_of(" + ".join(["x"] * 1000) + " > 0"))
+        assert (exc.value.line, exc.value.col) == (3, 9)
+        assert "levels deep" in exc.value.expected
+
+    def test_long_conjunction(self):
+        with pytest.raises(SyntaxError):
+            minisol.load(require_of(" && ".join(["x > 0"] * 1000)))
+
+    def test_many_negations(self):
+        with pytest.raises(SyntaxError):
+            minisol.load(require_of("!" * 1000 + "(x > 0)"))
+
+    def test_nested_map_keys(self):
+        with pytest.raises(SyntaxError):
+            minisol.load("contract C { mapping(uint256 => uint256) m;\n"
+                         "function f(uint256 x) external { require("
+                         + "m[" * 300 + "x" + "]" * 300 + " > 0); } }")
+
+    def test_nested_blocks(self):
+        body = "if (x > 0) { " * 500 + "x = 1;" + " }" * 500
+        with pytest.raises(SyntaxError):
+            minisol.load("contract C { function f(uint256 x) external { "
+                         + body + " } }")
+
+    def test_nesting_below_the_limit_still_loads(self):
+        limit = minisol.parser.MAX_DEPTH
+        c = minisol.load(require_of("(" * (limit - 3) + "x" + ")" * (limit - 3) + " > 0"))
+        assert c.function("f").body[0].cond.op == ">"
+        c = minisol.load(require_of(" + ".join(["x"] * (limit - 1)) + " > 0"))
+        assert c.function("f").body[0].cond.op == ">"
+
+
 class TestResolution:
     def test_unknown_event(self):
         with pytest.raises(ResolutionError, match="unknown event"):

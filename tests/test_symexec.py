@@ -202,6 +202,17 @@ class TestAnalyzeSource:
             ("INCONSISTENT_LOGGING", ("depositToken",)),
         ]
 
+    def test_paths_searched_once_per_entry(self, monkeypatch):
+        calls = []
+
+        def counting(contract, fn_name, **kw):
+            calls.append(fn_name)
+            return search_paths(contract, fn_name, **kw)
+
+        monkeypatch.setattr(symexec.engine, "search_paths", counting)
+        analyze_source(load_fixture("counterfeit"))
+        assert sorted(calls) == ["depositETH", "depositToken"]
+
     def test_results_deterministic(self):
         for name in ["counterfeit", "inconsistent", "inconsistent_safe",
                      "disjoint", "relay"]:
