@@ -2,8 +2,10 @@
 
 Exit codes are uniform across subcommands: 0 means the analysis ran
 and found nothing, 1 means findings were produced, 2 means the input
-could not be processed.  Output is deterministic; there are no
-timestamps and all JSON is key-sorted.
+could not be processed, and 3 means the analysis itself failed (an
+internal error, reported on one stderr line without a traceback).
+Output is deterministic; there are no timestamps and all JSON is
+key-sorted.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .symexec import analyze_source
 from .txscan import load_rules_file, read_records_file, scan_records
 
 _INPUT_ERRORS = (OSError, ValueError, SourceSyntaxError, ResolutionError)
+_ORIGIN = "phantomscan.origin"
 
 
 def _fail(origin: str, exc: Exception) -> None:
@@ -73,7 +76,31 @@ def _emit(report, as_json: bool) -> None:
     sys.exit(1 if report.findings else 0)
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand whose unexpected exceptions exit 3, never 1 ("findings")."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            origin = (ctx.meta.get(_ORIGIN) or ctx.params.get("file")
+                      or ctx.params.get("corpus") or ctx.info_name)
+            click.echo(f"error: {origin}: internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+def _working_on(path: str | None) -> None:
+    """Name ``path`` in an internal error raised from here on."""
+    click.get_current_context().meta[_ORIGIN] = path
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="phantomscan")
 def main() -> None:
     """Detect forged smart-contract events at three levels: compiled
@@ -238,6 +265,7 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
     findings = []
     caveats: list[str] = []
     for path in bytecode_files:
+        _working_on(path)
         try:
             bc = Bytecode.from_hex_file(path)
         except _INPUT_ERRORS as exc:
@@ -245,6 +273,7 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
         for f in detect(build_icfg(bc, db), db):
             findings.append(from_bytecode(f, origin=Path(path).name))
     for path in source_files:
+        _working_on(path)
         try:
             contract = load_source(Path(path).read_text(encoding="utf-8"))
         except _INPUT_ERRORS as exc:
@@ -252,12 +281,14 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
         for f in analyze_source(contract):
             findings.append(from_source(f, origin=Path(path).name))
     for path in log_files:
+        _working_on(path)
         try:
             raw, cavs = scan_records(read_records_file(path), ruleset)
         except _INPUT_ERRORS as exc:
             _fail(path, exc)
         findings.extend(from_txlog(f) for f in raw)
         caveats.extend(cavs)
+    _working_on(None)
 
     merged = merge(findings, caveats)
     text = merged.to_json()

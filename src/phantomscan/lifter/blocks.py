@@ -1,26 +1,29 @@
 """Basic-block construction and static jump resolution.
 
-Jump targets are recovered by evaluating each block over an abstract
-stack of constants.  Constants survive PUSH/DUP/SWAP and fold through
-AND and ADD; everything else becomes unknown.  One round of
-cross-block propagation then resolves jumps whose target was pushed by
-a predecessor (the return-jump of an internal call).  Whatever is
-still unknown stays marked unresolved rather than being guessed.
+Jump targets are read from the blocks' three-address code: the target
+is the variable a JUMP or JUMPI consumes first.  It is known when that
+variable is a constant, or an AND or ADD folded from constants.  A
+target the block takes from its entry stack (the return jump of an
+internal call) is looked up in the exit slots of its predecessors, one
+level deep.  Whatever is still unknown stays marked unresolved rather
+than being guessed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING
 
 from ..evm.disasm import Instruction
-from ..evm.opcodes import OPCODES, TERMINATORS
+from ..evm.opcodes import TERMINATORS
+
+if TYPE_CHECKING:
+    from .tac import LiftedBlock
 
 UMAX = (1 << 256) - 1
 
-# Abstract stack values: a known constant, a reference to an entry-stack
-# slot of the block (("S", k)), or None for unknown.
-AbsVal = Union[int, tuple, None]
+_FOLDS = {"AND": operator.and_, "ADD": lambda a, b: (a + b) & UMAX}
 
 
 @dataclass
@@ -35,10 +38,8 @@ class BasicBlock:
     has_unresolved_jump: bool = False
     invalid: bool = False
     invalid_reason: str | None = None
-    # filled by resolve_jumps: exit stack (top first) and entry slots consumed
-    exit_stack: list[AbsVal] = field(default_factory=list)
-    extern_consumed: int = 0
-    jump_target_val: AbsVal = None
+    # a JUMP to an address taken from the entry stack: a return to the caller
+    returns_via_entry_slot: bool = False
 
     @property
     def end_offset(self) -> int:
@@ -89,76 +90,28 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
     return blocks
 
 
-def _abs_eval(block: BasicBlock) -> None:
-    """Run the block over the abstract stack, filling exit state in place."""
-    stack: list[AbsVal] = []  # top first
-    consumed = 0
+def fold_constants(lifted: dict[int, LiftedBlock], consts: dict[str, int]) -> dict[str, int]:
+    """``consts`` plus every AND/ADD result computable from it.
 
-    def ensure(depth: int) -> None:
-        nonlocal consumed
-        while len(stack) < depth:
-            stack.append(("S", consumed))
-            consumed += 1
-
-    def pop() -> AbsVal:
-        ensure(1)
-        return stack.pop(0)
-
-    for ins in block.instructions:
-        name = ins.mnemonic
-        if name == "PUSH0":
-            stack.insert(0, 0)
-        elif ins.operand is not None:  # PUSH1..PUSH32
-            stack.insert(0, ins.push_value)
-        elif name.startswith("DUP"):
-            n = int(name[3:])
-            ensure(n)
-            stack.insert(0, stack[n - 1])
-        elif name.startswith("SWAP"):
-            n = int(name[4:])
-            ensure(n + 1)
-            stack[0], stack[n] = stack[n], stack[0]
-        elif name == "POP":
-            pop()
-        elif name == "AND":
-            a, b = pop(), pop()
-            stack.insert(0, (a & b) if isinstance(a, int) and isinstance(b, int) else None)
-        elif name == "ADD":
-            a, b = pop(), pop()
-            stack.insert(0, ((a + b) & UMAX) if isinstance(a, int) and isinstance(b, int) else None)
-        elif name in ("JUMP", "JUMPI"):
-            block.jump_target_val = pop()
-            if name == "JUMPI":
-                pop()
-        else:
-            info = OPCODES.get(ins.opcode)
-            pops = info.pops if info else 0
-            pushes = info.pushes if info else 0
-            for _ in range(pops):
-                pop()
-            for _ in range(pushes):
-                stack.insert(0, None)
-
-    block.exit_stack = stack
-    block.extern_consumed = consumed
-
-
-def exit_slot(block: BasicBlock, k: int) -> AbsVal:
-    """Abstract value of exit-stack slot ``k`` (0 = top) of ``block``.
-
-    Slots below the locals pass the block's own entry stack through.
+    These are the values jump resolution reads.  They stay apart from
+    the constants map, which taint uses to address memory.
     """
-    if k < len(block.exit_stack):
-        return block.exit_stack[k]
-    return ("S", k - len(block.exit_stack) + block.extern_consumed)
+    values = dict(consts)
+    for lb in lifted.values():
+        for t in lb.tac:
+            if t.op in _FOLDS and t.uses[0] in values and t.uses[1] in values:
+                values[t.defs[0]] = _FOLDS[t.op](values[t.uses[0]], values[t.uses[1]])
+    return values
 
 
-def resolve_jumps(blocks: dict[int, BasicBlock]) -> int:
+def resolve_jumps(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
+                  values: dict[str, int]) -> int:
     """Resolve static jump targets; returns the number of unresolved jumps.
 
-    Resolved targets must land on a JUMPDEST: a constant target that does
-    not is dropped and the block marked invalid instead of growing a
-    bogus edge.
+    ``values`` maps variables of the lifted blocks to known constants
+    (see ``fold_constants``).  Resolved targets must land on a JUMPDEST:
+    a constant target that does not is dropped and the block marked
+    invalid instead of growing a bogus edge.
     """
     if not blocks:
         return 0
@@ -167,12 +120,10 @@ def resolve_jumps(blocks: dict[int, BasicBlock]) -> int:
         if b.instructions and b.instructions[0].mnemonic == "JUMPDEST"
     }
 
-    for block in blocks.values():
-        _abs_eval(block)
-        if block.offset == 0 and block.extern_consumed > 0:
-            # the entry stack is empty, so drawing from it is an underflow
-            block.invalid = True
-            block.invalid_reason = f"StackUnderflow({block.offset:#x})"
+    if 0 in blocks and lifted[0].extern_consumed > 0:
+        # the entry stack is empty, so drawing from it is an underflow
+        blocks[0].invalid = True
+        blocks[0].invalid_reason = "StackUnderflow(0x0)"
 
     def add_target(block: BasicBlock, target: int) -> None:
         if target in jumpdests:
@@ -182,30 +133,30 @@ def resolve_jumps(blocks: dict[int, BasicBlock]) -> int:
             block.invalid = True
             block.invalid_reason = f"jump to non-JUMPDEST {target:#x}"
 
-    pending: list[BasicBlock] = []
+    pending: list[tuple[BasicBlock, int | None]] = []
     for block in blocks.values():
         if block.terminator not in ("JUMP", "JUMPI"):
             continue
-        val = block.jump_target_val
-        if isinstance(val, int):
-            add_target(block, val)
+        lb = lifted[block.offset]
+        target = lb.tac[-1].uses[0]
+        if target in values:
+            add_target(block, values[target])
         else:
-            pending.append(block)
+            pending.append((block, lb.entry_slot(target)))
 
     _fill_predecessors(blocks)
 
     # one round of cross-block propagation: a target pushed by a
     # predecessor and consumed here (the internal-call return pattern)
-    for block in pending:
-        val = block.jump_target_val
-        if not (isinstance(val, tuple) and val and val[0] == "S"):
+    for block, slot in pending:
+        if slot is None:
             block.has_unresolved_jump = True
             continue
-        slot = val[1]
+        block.returns_via_entry_slot = block.terminator == "JUMP"
         found = False
         for pred_off in block.predecessors:
-            pred_val = exit_slot(blocks[pred_off], slot)
-            if isinstance(pred_val, int):
+            pred_val = values.get(lifted[pred_off].exit_var(slot))
+            if pred_val is not None:
                 add_target(block, pred_val)
                 found = True
         if not found:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..evm.disasm import Bytecode
-from .blocks import BasicBlock, build_blocks, exit_slot, resolve_jumps
-from .tac import LiftedBlock, TacInstruction, _VarSource, lift_block
+from .blocks import BasicBlock, build_blocks, fold_constants, resolve_jumps
+from .tac import LiftedBlock, _VarSource, lift_block
 
 _DISPATCH_WALK_LIMIT = 64
 _CALLEE_SCAN_LIMIT = 32
@@ -122,18 +122,22 @@ class Icfg:
     functions: dict[str, FunctionUnit]
     call_edges: list[CallEdge]
     unresolved_jumps: int
+    consts: dict[str, int]  # every CONST-defined variable -> its value
+    _into: dict[str, list[CallEdge]] = field(init=False, repr=False)
+    _returns: dict[tuple[str, int], list[CallEdge]] = field(init=False, repr=False)
 
-    def function_of_entry(self, entry: int) -> FunctionUnit | None:
-        for fn in self.functions.values():
-            if fn.entry == entry:
-                return fn
-        return None
+    def __post_init__(self) -> None:
+        self._into = {}
+        self._returns = {}
+        for e in self.call_edges:
+            self._into.setdefault(e.callee, []).append(e)
+            self._returns.setdefault((e.caller, e.return_block), []).append(e)
 
-    def edges_into(self, callee: str) -> list[CallEdge]:
-        return [e for e in self.call_edges if e.callee == callee]
+    def edges_into(self, callee: str) -> tuple[CallEdge, ...]:
+        return tuple(self._into.get(callee, ()))
 
-    def return_edges_at(self, caller: str, block: int) -> list[CallEdge]:
-        return [e for e in self.call_edges if e.caller == caller and e.return_block == block]
+    def return_edges_at(self, caller: str, block: int) -> tuple[CallEdge, ...]:
+        return tuple(self._returns.get((caller, block), ()))
 
     def callee_exit_blocks(self, edge: CallEdge) -> list[int]:
         callee = self.functions[edge.callee]
@@ -215,14 +219,11 @@ def _match_selector_branch(block: BasicBlock) -> int | None:
     return push_val if saw_eq_after_push else None
 
 
-def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> tuple[list[tuple[int, int]], int]:
-    """Follow the dispatch chain from offset 0.
-
-    Returns ([(selector, entry offset)], fallback entry offset).
-    """
+def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
+    """Follow the dispatch chain from offset 0: [(selector, entry offset)]."""
     branches: list[tuple[int, int]] = []
     if 0 not in blocks:
-        return branches, 0
+        return branches
     seen: set[int] = set()
     current = 0
     for _ in range(_DISPATCH_WALK_LIMIT):
@@ -244,17 +245,18 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> tuple[list[tuple[int, int
             current = fallthrough[0]
         else:
             break
-    return branches, current
+    return branches
 
 
-def _find_call_edges(blocks: dict[int, BasicBlock]) -> list[tuple[int, int, int]]:
+def _find_call_edges(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
+                     values: dict[str, int]) -> list[tuple[int, int, int]]:
     """Detect (call block, callee entry, return block) triples."""
     edges: list[tuple[int, int, int]] = []
     for b in sorted(blocks):
         block = blocks[b]
         if block.terminator != "JUMP" or not block.successors:
             continue
-        ret_consts = [v for v in block.exit_stack if isinstance(v, int) and v in blocks]
+        ret_consts = [values[v] for v in lifted[b].exit_stack if values.get(v) in blocks]
         if not ret_consts:
             continue
         for target in block.successors:
@@ -278,11 +280,7 @@ def _returns_to(blocks: dict[int, BasicBlock], entry: int, ret: int) -> bool:
             continue
         seen.add(off)
         block = blocks[off]
-        if (
-            block.terminator == "JUMP"
-            and isinstance(block.jump_target_val, tuple)
-            and ret in block.successors
-        ):
+        if block.returns_via_entry_slot and ret in block.successors:
             return True
         frontier.extend(block.successors)
     return False
@@ -304,10 +302,7 @@ def _reachable(blocks: dict[int, BasicBlock], entry: int,
         if off in call_by_block:
             _, ret = call_by_block[off]
             nexts = [ret]
-        elif (
-            blocks[off].terminator == "JUMP"
-            and isinstance(blocks[off].jump_target_val, tuple)
-        ):
+        elif blocks[off].returns_via_entry_slot:
             # return-style jump to a caller-supplied address: the
             # continuation belongs to the callers, not this function
             nexts = []
@@ -322,13 +317,14 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
     """Disassembled bytecode -> functions, TAC blocks, call edges."""
     sigdb = sigdb or SigDb.empty()
     blocks = build_blocks(bytecode.instructions)
-    unresolved = resolve_jumps(blocks)
-
     vars_ = _VarSource()
     lifted = {off: lift_block(blocks[off], vars_) for off in sorted(blocks)}
+    consts = {t.defs[0]: t.const for lb in lifted.values() for t in lb.tac if t.op == "CONST"}
+    values = fold_constants(lifted, consts)
+    unresolved = resolve_jumps(blocks, lifted, values)
 
-    branches, fallback_entry = _walk_dispatcher(blocks)
-    raw_call_edges = _find_call_edges(blocks)
+    branches = _walk_dispatcher(blocks)
+    raw_call_edges = _find_call_edges(blocks, lifted, values)
 
     public_entries = {entry for _, entry in branches}
     helper_entries = sorted(
@@ -397,6 +393,7 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
         functions=functions,
         call_edges=sorted(call_edges, key=lambda e: (e.caller, e.call_block, e.callee)),
         unresolved_jumps=unresolved,
+        consts=consts,
     )
 
 

@@ -11,7 +11,7 @@ later stitches those to predecessor exit slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..evm.disasm import Instruction
 from ..evm.opcodes import OPCODES
@@ -55,6 +55,11 @@ class LiftedBlock:
         if k < len(self.exit_stack):
             return self.exit_stack[k]
         return self.extern_var(k - len(self.exit_stack) + self.extern_consumed)
+
+    def entry_slot(self, var: str) -> int | None:
+        """``k`` if ``var`` is this block's entry-stack slot ``k``, else None."""
+        name, _, block = var.partition("@")
+        return int(name[1:]) if block == f"{self.offset:#x}" else None
 
 
 def extern_var(block_offset: int, k: int) -> str:
@@ -119,12 +124,3 @@ def lift_block(block: BasicBlock, vars_: Optional[_VarSource] = None) -> LiftedB
 
     return LiftedBlock(offset=block.offset, tac=tac, exit_stack=stack, extern_consumed=consumed)
 
-
-def const_defs(lifted: Iterator[LiftedBlock]) -> dict[str, int]:
-    """Map every CONST-defined variable to its value."""
-    out: dict[str, int] = {}
-    for lb in lifted:
-        for t in lb.tac:
-            if t.op == "CONST" and t.defs:
-                out[t.defs[0]] = t.const if t.const is not None else 0
-    return out

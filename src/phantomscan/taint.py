@@ -25,8 +25,7 @@ conservative instead of silently dropping dataflow.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evm.opcodes import ENTRY_POINT_OPS, EXTERNAL_CALLS
 from .lifter.functions import Icfg
@@ -34,11 +33,8 @@ from .lifter.tac import TacInstruction
 
 DYNAMIC_SIGNATURE = "DYNAMIC_SIGNATURE"
 
-_EXTERN_RE = re.compile(r"^S(\d+)@(0x[0-9a-f]+)$")
-
 DEFAULT_MAX_PATHS = 256
 DEFAULT_MAX_DEPTH = 64
-DEFAULT_UNROLL = 1
 _MEM_CHAIN_DEPTH = 8
 
 
@@ -120,11 +116,7 @@ class BytecodeFinding:
 
 def build_value_keys(icfg: Icfg) -> dict[str, tuple]:
     """Map variables defined by environment reads to shared value keys."""
-    consts: dict[str, int] = {}
-    for lb in icfg.lifted.values():
-        for t in lb.tac:
-            if t.op == "CONST" and t.defs:
-                consts[t.defs[0]] = t.const or 0
+    consts = icfg.consts
     keys: dict[str, tuple] = {}
     for lb in icfg.lifted.values():
         for t in lb.tac:
@@ -151,12 +143,6 @@ def extract_log_ops(icfg: Icfg) -> list[LogOp]:
     If cloning ever leaves one LOG block inside several functions the
     deterministic owner is the non-fallback function that sorts first.
     """
-    consts: dict[str, int] = {}
-    for lb in icfg.lifted.values():
-        for t in lb.tac:
-            if t.op == "CONST" and t.defs:
-                consts[t.defs[0]] = t.const or 0
-
     owners: dict[int, list[str]] = {}
     for name in sorted(icfg.functions, key=lambda n: (n == "fallback", n)):
         for off in icfg.functions[name].block_offsets:
@@ -171,12 +157,13 @@ def extract_log_ops(icfg: Icfg) -> list[LogOp]:
             if t.pc in seen_pcs or off not in owners:
                 continue
             seen_pcs.add(t.pc)
-            out.append(_make_log_op(icfg, owners[off][0], off, idx, t, consts))
+            out.append(_make_log_op(icfg, owners[off][0], off, idx, t))
     return out
 
 
 def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
-                 instr: TacInstruction, consts: dict[str, int]) -> LogOp:
+                 instr: TacInstruction) -> LogOp:
+    consts = icfg.consts
     k = int(instr.op[3:])
     topic_vars = instr.uses[2:]
     topic0 = consts.get(topic_vars[0]) if k >= 1 else None
@@ -184,27 +171,21 @@ def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
 
     off_var, size_var = instr.uses[0], instr.uses[1]
     chain = _block_chain(icfg, fn_name, block)
-    stores = _mstores_before(icfg, chain, block, idx)
+    stores = _mstores_before(icfg, chain, idx)
 
     data_vars: list[str] = []
     synthetic: list[TacInstruction] = []
+    opaque = True
     if off_var in consts and size_var in consts:
+        # the stored words of the region, in address order; the region
+        # itself may be far too large to walk word by word
         base, size = consts[off_var], consts[size_var]
-        unmatched = False
-        for word in range(base, base + size, 32):
-            hit = next((v for addr, v in stores if addr == word), None)
-            if hit is not None:
-                data_vars.append(hit)
-            else:
-                unmatched = True
-        if unmatched and size > 0:
-            region = f"mem{instr.pc:#x}"
-            data_vars.append(region)
-            synthetic.append(TacInstruction(
-                pc=instr.pc, op="MEMREGION", defs=(region,),
-                uses=tuple(v for _, v in stores),
-            ))
-    else:
+        data_vars = [v for addr, v in sorted(
+            (addr, v) for addr, v in stores
+            if addr is not None and base <= addr < base + size and (addr - base) % 32 == 0
+        )]
+        opaque = len(data_vars) < (size + 31) // 32
+    if opaque:
         region = f"mem{instr.pc:#x}"
         data_vars.append(region)
         synthetic.append(TacInstruction(
@@ -238,14 +219,10 @@ def _block_chain(icfg: Icfg, fn_name: str, block: int) -> list[int]:
     return chain
 
 
-def _mstores_before(icfg: Icfg, chain: list[int], block: int, idx: int) -> list[tuple[int | None, str]]:
+def _mstores_before(icfg: Icfg, chain: list[int], idx: int) -> list[tuple[int | None, str]]:
     """(constant address, value var) for stores preceding position idx,
-    nearest first.  Unknown addresses come through as None."""
-    consts: dict[str, int] = {}
-    for off in chain:
-        for t in icfg.lifted[off].tac:
-            if t.op == "CONST" and t.defs:
-                consts[t.defs[0]] = t.const or 0
+    nearest first.  Unknown addresses come through as None; a known
+    address comes through once."""
     found: list[tuple[int | None, str]] = []
     seen_addrs: set[int] = set()
     for pos, off in enumerate(chain):
@@ -254,7 +231,7 @@ def _mstores_before(icfg: Icfg, chain: list[int], block: int, idx: int) -> list[
         for t in reversed(tac[:upto]):
             if t.op != "MSTORE":
                 continue
-            addr = consts.get(t.uses[0])
+            addr = icfg.consts.get(t.uses[0])
             if addr is not None and addr in seen_addrs:
                 continue  # a nearer store already covers this word
             if addr is not None:
@@ -323,9 +300,9 @@ def backward_slice(
                     pc=block, op="PHI",
                     defs=(f"S{k}@{block:#x}",), uses=(src,),
                 ))
-                m = _EXTERN_RE.match(src)
-                if m and int(m.group(2), 16) == pred_block:
-                    new_pending.setdefault(pred_block, set()).add(int(m.group(1)))
+                slot = plb.entry_slot(src)
+                if slot is not None:
+                    new_pending.setdefault(pred_block, set()).add(slot)
             seg = [TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,))]
             seg += reversed(icfg.lifted[pred_block].tac)
             walk(pred_fn, pred_block,
@@ -400,21 +377,15 @@ def taint_analysis(slice_: PathSlice, value_keys: dict[str, tuple],
         if keys & taint:
             taint |= keys
 
-    consts = _path_consts(slice_)
     sources: list[tuple[str, int | None]] = []
     for t in slice_.instrs:
         if t.op not in ENTRY_POINT_OPS or not t.defs:
             continue
-        if _key(t.defs[0], value_keys) in taint:
-            slot = None
-            if t.op == "CALLDATALOAD" and t.uses:
-                slot = consts.get(t.uses[0])
-            sources.append((t.op, slot))
+        key = _key(t.defs[0], value_keys)
+        if key in taint:
+            # a CALLDATALOAD of a constant offset is keyed by that offset
+            sources.append((t.op, key[1] if key[0] == "CALLDATALOAD" else None))
     return TaintResult(tainted=bool(sources), taint_keys=taint, sources=sources)
-
-
-def _path_consts(slice_: PathSlice) -> dict[str, int]:
-    return {t.defs[0]: t.const or 0 for t in slice_.instrs if t.op == "CONST" and t.defs}
 
 
 def _related_fixpoint(instrs: list[TacInstruction], start: set,
@@ -469,7 +440,7 @@ def _unchecked_external_call(slice_: PathSlice, taint: set,
     return False
 
 
-def _event_label(icfg_origin: str, topic0: int | None, sig: str | None) -> str:
+def _event_label(topic0: int | None, sig: str | None) -> str:
     if topic0 is None:
         return DYNAMIC_SIGNATURE
     if sig:
@@ -510,7 +481,7 @@ def detect(icfg: Icfg, sigdb=None, max_paths: int = DEFAULT_MAX_PATHS,
 
     def event_name(topic0):
         sig = sigdb.topic_signature(topic0) if (sigdb and topic0 is not None) else None
-        return _event_label(icfg.origin, topic0, sig)
+        return _event_label(topic0, sig)
 
     def confidence(topic0):
         return "INCOMPLETE" if topic0 in incomplete_events else "POTENTIAL"

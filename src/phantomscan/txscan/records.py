@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,8 +39,9 @@ class LogRecord:
     tx_from: str
     tx_to: str | None
     tx_selector: str | None
+    lineno: int = field(default=0, compare=False, repr=False)  # 0 when not read from a file
 
-    @property
+    @cached_property
     def topic0(self) -> int | None:
         return int(self.topics[0], 16) if self.topics else None
 
@@ -90,6 +92,7 @@ def parse_record(obj: dict, lineno: int = 0) -> LogRecord:
         tx_from=tx_from.lower(),
         tx_to=tx_to.lower() if tx_to else None,
         tx_selector=selector.lower() if selector else None,
+        lineno=lineno,
     )
 
 

@@ -82,6 +82,23 @@ class TxFinding:
         }
 
 
+def _finding(record: LogRecord, *, kind: str, check: str | None, project: str | None,
+             event: str | None, confidence: str, detail: dict) -> TxFinding:
+    """A finding located at ``record``."""
+    return TxFinding(
+        kind=kind,
+        check=check,
+        project=project,
+        tx_hash=record.tx_hash,
+        block_number=record.block_number,
+        log_index=record.log_index,
+        address=record.address,
+        event=event,
+        confidence=confidence,
+        detail=detail,
+    )
+
+
 def _topic_address(topic_hex: str) -> str:
     return "0x" + topic_hex[-40:]
 
@@ -123,7 +140,7 @@ class Scanner:
         pos = (record.block_number, record.log_index)
         if self._cursor is not None and pos <= self._cursor:
             raise RecordError(
-                0,
+                record.lineno,
                 f"records out of order: block {record.block_number} log {record.log_index} "
                 f"after block {self._cursor[0]} log {self._cursor[1]}",
             )
@@ -163,14 +180,11 @@ class Scanner:
         for proj, rule in watched:
             if record.address not in proj.authentic_emitters:
                 out.append(
-                    TxFinding(
+                    _finding(
+                        record,
                         kind="RULE_VIOLATION",
                         check="emitter-authenticity",
                         project=proj.name,
-                        tx_hash=record.tx_hash,
-                        block_number=record.block_number,
-                        log_index=record.log_index,
-                        address=record.address,
                         event=rule.name,
                         confidence=CONFIRMED,
                         detail={
@@ -189,14 +203,11 @@ class Scanner:
                 continue
             if topic0 is None or proj.rule_for(topic0) is None:
                 out.append(
-                    TxFinding(
+                    _finding(
+                        record,
                         kind="RULE_VIOLATION",
                         check="undeclared-signature",
                         project=proj.name,
-                        tx_hash=record.tx_hash,
-                        block_number=record.block_number,
-                        log_index=record.log_index,
-                        address=record.address,
                         event=None,
                         confidence=CONFIRMED,
                         detail={"topic0": f"{topic0:#066x}" if topic0 is not None else None},
@@ -208,14 +219,11 @@ class Scanner:
         out: list[TxFinding] = []
         if rule.expected_selectors is not None and record.tx_selector not in rule.expected_selectors:
             out.append(
-                TxFinding(
+                _finding(
+                    record,
                     kind="RULE_VIOLATION",
                     check="unexpected-selector",
                     project=proj.name,
-                    tx_hash=record.tx_hash,
-                    block_number=record.block_number,
-                    log_index=record.log_index,
-                    address=record.address,
                     event=rule.name,
                     confidence=CONFIRMED,
                     detail={
@@ -230,14 +238,11 @@ class Scanner:
             decoded = decode_event(rule.params, record.topics, record.data)
         except DecodeError as exc:
             out.append(
-                TxFinding(
+                _finding(
+                    record,
                     kind="RULE_VIOLATION",
                     check="malformed-data",
                     project=proj.name,
-                    tx_hash=record.tx_hash,
-                    block_number=record.block_number,
-                    log_index=record.log_index,
-                    address=record.address,
                     event=rule.name,
                     confidence=CONFIRMED,
                     detail={"error": str(exc)},
@@ -248,14 +253,11 @@ class Scanner:
             if not pred.holds(decoded[pred.param]):
                 got = decoded[pred.param]
                 out.append(
-                    TxFinding(
+                    _finding(
+                        record,
                         kind="RULE_VIOLATION",
                         check="predicate",
                         project=proj.name,
-                        tx_hash=record.tx_hash,
-                        block_number=record.block_number,
-                        log_index=record.log_index,
-                        address=record.address,
                         event=rule.name,
                         confidence=CONFIRMED,
                         detail={
@@ -286,14 +288,11 @@ class Scanner:
             if authentic and foreign:
                 first = foreign[0]
                 out.append(
-                    TxFinding(
+                    _finding(
+                        first,
                         kind="BLENDED_EVENT",
                         check=None,
                         project=proj.name,
-                        tx_hash=first.tx_hash,
-                        block_number=first.block_number,
-                        log_index=first.log_index,
-                        address=first.address,
                         event=proj.rule_for(first.topic0).name,
                         confidence=POTENTIAL,
                         detail={
@@ -339,14 +338,11 @@ class Scanner:
         if self.caveats:
             detail["approval_window_incomplete"] = True
         return [
-            TxFinding(
+            _finding(
+                record,
                 kind="TRANSFER_SPOOFING",
                 check=None,
                 project=None,
-                tx_hash=record.tx_hash,
-                block_number=record.block_number,
-                log_index=record.log_index,
-                address=token,
                 event="Transfer",
                 confidence=POTENTIAL,
                 detail=detail,

@@ -1,13 +1,23 @@
 """Basic-block construction and jump resolution."""
 
 from phantomscan.evm import Bytecode
-from phantomscan.lifter import build_blocks, resolve_jumps
+from phantomscan.lifter import build_blocks, build_icfg, lift_block, resolve_jumps
+from phantomscan.lifter.blocks import fold_constants
+from phantomscan.lifter.tac import _VarSource
+
+
+def lifted_blocks_of(hexcode: str):
+    bc = Bytecode.from_hex(hexcode)
+    blocks = build_blocks(bc.instructions)
+    vars_ = _VarSource()
+    lifted = {off: lift_block(blocks[off], vars_) for off in sorted(blocks)}
+    consts = {t.defs[0]: t.const for lb in lifted.values() for t in lb.tac if t.op == "CONST"}
+    unresolved = resolve_jumps(blocks, lifted, fold_constants(lifted, consts))
+    return blocks, lifted, unresolved
 
 
 def blocks_of(hexcode: str):
-    bc = Bytecode.from_hex(hexcode)
-    blocks = build_blocks(bc.instructions)
-    unresolved = resolve_jumps(blocks)
+    blocks, _, unresolved = lifted_blocks_of(hexcode)
     return blocks, unresolved
 
 
@@ -48,9 +58,9 @@ def test_stack_underflow_at_entry_block():
 def test_deeper_block_may_read_caller_stack():
     # JUMPDEST ADD STOP as a jump target: reads come from the callers'
     # stacks, so the block consumes two extern slots without underflow
-    blocks, unresolved = blocks_of("6001600260095601005b0100")
+    blocks, lifted, unresolved = lifted_blocks_of("6001600260095601005b0100")
     assert not blocks[0x9].invalid
-    assert blocks[0x9].extern_consumed == 2
+    assert lifted[0x9].extern_consumed == 2
 
 
 def test_jump_target_through_stack_propagation():
@@ -59,6 +69,14 @@ def test_jump_target_through_stack_propagation():
     blocks, unresolved = blocks_of("6007600556" + "5b56" + "5b00")
     assert unresolved == 0
     assert blocks[0x5].successors == [0x7]
+    assert blocks[0x5].returns_via_entry_slot
+
+
+def test_jump_target_folds_and_and_add():
+    # PUSH1 05 PUSH1 05 ADD PUSH1 ff AND JUMP STOP | JUMPDEST(0xa) STOP
+    blocks, unresolved = blocks_of("6005600501" + "60ff1656" + "00" + "5b00")
+    assert unresolved == 0
+    assert blocks[0].successors == [0xA]
 
 
 def test_unresolved_jump_is_counted_not_guessed():
@@ -77,6 +95,13 @@ def test_fallthrough_terminator():
 
 
 def test_exit_stack_top_first():
-    blocks, _ = blocks_of("6001600200")
-    b = blocks[0]
-    assert b.exit_stack[0] == 2 and b.exit_stack[1] == 1
+    icfg = build_icfg(Bytecode.from_hex("6001600200"))
+    assert [icfg.consts[v] for v in icfg.lifted[0].exit_stack] == [2, 1]
+
+
+def test_folded_values_stay_out_of_the_constants_map():
+    # PUSH1 01 PUSH1 02 ADD STOP: the sum resolves jumps, not memory
+    icfg = build_icfg(Bytecode.from_hex("600160020100"))
+    (total,) = icfg.lifted[0].exit_stack
+    assert total not in icfg.consts
+    assert sorted(icfg.consts.values()) == [1, 2]

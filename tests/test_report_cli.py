@@ -1,9 +1,14 @@
 """Unified findings, report merging, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import phantomscan
 from phantomscan import SCHEMA
 from phantomscan.cli import main
 from phantomscan.findings import from_txlog, jsonable, make_finding
@@ -207,3 +212,56 @@ def test_cli_report_requires_input():
     res = runner().invoke(main, ["report"])
     assert res.exit_code == 2
     assert "nothing to analyze" in res.output
+
+
+def test_cli_out_of_order_record_names_its_line(tmp_path):
+    first, second = (json.loads(line) for line in
+                     open(FIX["bridge_logs.jsonl"], encoding="utf-8").readlines()[:2])
+    second["blockNumber"] = first["blockNumber"]
+    first["logIndex"], second["logIndex"] = 1, 0
+    corpus = tmp_path / "swapped.jsonl"
+    corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    res = runner().invoke(main, ["scan-logs", str(corpus)])
+    assert res.exit_code == 2
+    assert f"error: {corpus}: line 2: records out of order" in res.stderr
+
+
+def test_cli_internal_error_exits_3_naming_the_file(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("phantomscan.cli.detect", broken)
+    res = runner().invoke(main, ["report", "--bytecode", FIX["counterfeit.hex"],
+                                 "--source", FIX["counterfeit.msol"]])
+    assert res.exit_code == 3
+    assert res.stderr == f"error: {FIX['counterfeit.hex']}: internal error: KeyError: 'boom'\n"
+
+
+def test_cli_recursion_in_analysis_exits_3_without_traceback(tmp_path):
+    # one local reassigned 1000 times builds a term too deep for the
+    # recursive walks over symbolic values
+    steps = "\n".join("        t = t + 1;" for _ in range(1000))
+    path = tmp_path / "deep.msol"
+    path.write_text(
+        "contract Deep {\n"
+        "    event E(uint256 v);\n"
+        "    function f(uint256 x) external {\n"
+        "        uint256 t = x;\n"
+        f"{steps}\n"
+        "        require(t > 5);\n"
+        "        emit E(t);\n"
+        "    }\n"
+        "    function g(uint256 x) external {\n"
+        "        emit E(x);\n"
+        "    }\n"
+        "}\n"
+    )
+    src = str(Path(phantomscan.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    res = subprocess.run([sys.executable, "-m", "phantomscan.cli", "analyze-source", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith(f"error: {path}: internal error: RecursionError: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from phantomscan._keccak import event_topic, function_selector, keccak256  # noqa: E402
+from phantomscan.evm.opcodes import MNEMONIC_TO_OPCODE  # noqa: E402
 
 FIXTURES = ROOT / "src" / "phantomscan" / "fixtures"
 
@@ -27,32 +28,7 @@ FIXTURES = ROOT / "src" / "phantomscan" / "fixtures"
 # ("label", name) definitions and ("pushl", name) label pushes (PUSH2 wide)
 # --------------------------------------------------------------------------
 
-OPCODE_BY_NAME = {}
-
-
-def _opcodes():
-    table = {
-        "STOP": 0x00, "ADD": 0x01, "MUL": 0x02, "SUB": 0x03, "DIV": 0x04,
-        "LT": 0x10, "GT": 0x11, "EQ": 0x14, "ISZERO": 0x15, "AND": 0x16,
-        "OR": 0x17, "NOT": 0x19, "SHR": 0x1C, "KECCAK256": 0x20,
-        "ADDRESS": 0x30, "ORIGIN": 0x32, "CALLER": 0x33, "CALLVALUE": 0x34,
-        "CALLDATALOAD": 0x35, "CALLDATASIZE": 0x36,
-        "POP": 0x50, "MLOAD": 0x51, "MSTORE": 0x52, "SLOAD": 0x54,
-        "SSTORE": 0x55, "JUMP": 0x56, "JUMPI": 0x57, "GAS": 0x5A,
-        "JUMPDEST": 0x5B, "PUSH0": 0x5F,
-        "LOG0": 0xA0, "LOG1": 0xA1, "LOG2": 0xA2, "LOG3": 0xA3, "LOG4": 0xA4,
-        "CALL": 0xF1, "RETURN": 0xF3, "STATICCALL": 0xFA, "REVERT": 0xFD,
-        "INVALID": 0xFE,
-    }
-    for n in range(1, 33):
-        table[f"PUSH{n}"] = 0x5F + n
-    for n in range(1, 17):
-        table[f"DUP{n}"] = 0x7F + n
-        table[f"SWAP{n}"] = 0x8F + n
-    return table
-
-
-OPCODE_BY_NAME = _opcodes()
+OPCODE_BY_NAME = MNEMONIC_TO_OPCODE
 
 
 def assemble(items) -> bytes:
