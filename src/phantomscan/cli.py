@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import SCHEMA, __version__
+from . import SCHEMA, __version__, jsonout
 from .evm.disasm import Bytecode
 from .findings import from_bytecode, from_source, from_txlog
 from .lifter.functions import SigDb, build_icfg
@@ -53,7 +53,9 @@ def _load_sigdb(path: str | None) -> SigDb | None:
 
 def _emit(report, as_json: bool) -> None:
     if as_json:
-        click.echo(report.to_json())
+        # the newline goes out on its own: appending it would copy the whole report
+        click.echo(report.to_json(), nl=False)
+        click.echo()
     else:
         for f in report.findings:
             mark = " (superseded)" if f.id in report.superseded else ""
@@ -118,8 +120,6 @@ def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
     except _INPUT_ERRORS as exc:
         _fail(file, exc)
     if as_json:
-        import json as _json
-
         doc = {
             "schema": SCHEMA,
             "origin": bc.origin,
@@ -134,7 +134,7 @@ def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
                 for ins in bc.instructions
             ],
         }
-        click.echo(_json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(jsonout.dumps(doc))
     else:
         for ins in bc.instructions:
             click.echo(str(ins))
@@ -167,9 +167,7 @@ def parse(file: str, as_summary: bool) -> None:
     except _INPUT_ERRORS as exc:
         _fail(file, exc)
     if as_summary:
-        import json as _json
-
-        click.echo(_json.dumps(summarize(contract), indent=2, sort_keys=True))
+        click.echo(jsonout.dumps(summarize(contract)))
     else:
         click.echo(to_source(contract), nl=False)
 
@@ -229,7 +227,9 @@ def scan_logs(corpus: str, rules: str | None, no_spoofing: bool, as_json: bool) 
                                     spoofing=not no_spoofing)
     except _INPUT_ERRORS as exc:
         _fail(corpus, exc)
-    _emit(merge((from_txlog(f) for f in raw), caveats), as_json)
+    report = merge((from_txlog(f) for f in raw), caveats)
+    del raw  # the scanner's findings are wrapped; free them before the report is written
+    _emit(report, as_json)
 
 
 @main.command()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 LAYER_BYTECODE = "bytecode"
 LAYER_SOURCE = "source"
@@ -21,8 +21,22 @@ LAYER_LOGS = "logs"
 CONFIDENCE_RANK = {"CONFIRMED": 0, "POTENTIAL": 1, "INCOMPLETE": 2}
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+# compact and key-sorted; built once, as json.dumps with options builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def jsonable(value):
     """Coerce detector payloads into plain JSON values."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {k if type(k) is str else str(k): v if type(v) in _PLAIN else jsonable(v)
+                for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [v if type(v) in _PLAIN else jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -31,9 +45,7 @@ def jsonable(value):
         return sorted(jsonable(v) for v in value)
     if isinstance(value, bytes):
         return "0x" + value.hex()
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
 
@@ -46,7 +58,7 @@ def _topic_hex(topic0) -> str | None:
     return topic0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     id: str
     layer: str
@@ -54,6 +66,9 @@ class Finding:
     confidence: str
     subject: dict
     evidence: dict
+    # `subject` as compact, key-sorted JSON, which orders findings of one layer and
+    # kind; make_finding fills it in, and sort_key encodes the subject when it is empty
+    subject_json: str = field(default="", init=False, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -71,7 +86,7 @@ class Finding:
             CONFIDENCE_RANK.get(self.confidence, 9),
             self.layer,
             self.kind,
-            json.dumps(self.subject, sort_keys=True),
+            self.subject_json or _ENCODER.encode(self.subject),
             self.id,
         )
 
@@ -79,14 +94,15 @@ class Finding:
 def make_finding(layer: str, kind: str, confidence: str, subject: dict, evidence: dict) -> Finding:
     subject = jsonable(subject)
     evidence = jsonable(evidence)
-    blob = json.dumps(
-        {"layer": layer, "kind": kind, "subject": subject, "evidence": evidence},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    subject_json = _ENCODER.encode(subject)
+    # the id hashes {"layer", "kind", "subject", "evidence"} as compact, key-sorted JSON
+    blob = (f'{{"evidence":{_ENCODER.encode(evidence)},"kind":{_ENCODER.encode(kind)},'
+            f'"layer":{_ENCODER.encode(layer)},"subject":{subject_json}}}')
     fid = hashlib.sha256(blob.encode("ascii")).digest()[:16].hex()
-    return Finding(id=fid, layer=layer, kind=kind, confidence=confidence,
-                   subject=subject, evidence=evidence)
+    finding = Finding(id=fid, layer=layer, kind=kind, confidence=confidence,
+                      subject=subject, evidence=evidence)
+    object.__setattr__(finding, "subject_json", subject_json)
+    return finding
 
 
 def from_bytecode(finding, origin: str) -> Finding:
@@ -123,7 +139,7 @@ def from_source(finding, origin: str) -> Finding:
 
 
 def from_txlog(finding) -> Finding:
-    evidence = dict(finding.detail)
+    evidence = finding.detail
     if finding.check is not None:
         evidence = {"check": finding.check, **evidence}
     return make_finding(

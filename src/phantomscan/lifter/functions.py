@@ -13,10 +13,10 @@ separate unit connected by call edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import jsonout
 from ..evm.disasm import Bytecode
 from .blocks import BasicBlock, build_blocks, fold_constants, resolve_jumps
 from .tac import LiftedBlock, _VarSource, lift_block
@@ -182,7 +182,7 @@ class Icfg:
                 for name, fn in sorted(self.functions.items())
             },
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return jsonout.dumps(doc)
 
     def to_dot(self) -> str:
         lines = ["digraph icfg {", "  node [shape=box fontname=monospace];"]

@@ -8,11 +8,10 @@ marked, so consumers do not double-count one forgery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import SCHEMA
+from . import SCHEMA, jsonout
 from .findings import LAYER_BYTECODE, LAYER_SOURCE, Finding
 
 
@@ -52,7 +51,7 @@ class Report:
             "caveats": list(self.caveats),
             "findings": out,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return jsonout.dumps(doc)
 
 
 def _dominates(src: Finding, byt: Finding) -> bool:

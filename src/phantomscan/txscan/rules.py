@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -34,9 +35,9 @@ from .._keccak import keccak256
 from .abi import DYNAMIC_TYPES, STATIC_TYPES
 
 _OPS = ("==", "!=", "<", "<=", ">", ">=")
-_HEX20 = re.compile(r"^0x[0-9a-fA-F]{40}$")
-_HEX4 = re.compile(r"^0x[0-9a-fA-F]{8}$")
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_HEX20 = re.compile(r"0x[0-9a-fA-F]{40}").fullmatch
+_HEX4 = re.compile(r"0x[0-9a-fA-F]{8}").fullmatch
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 
 class RulesError(ValueError):
@@ -78,7 +79,7 @@ class EventRule:
     expected_selectors: frozenset[str] | None = None
     predicates: tuple[Predicate, ...] = ()
 
-    @property
+    @cached_property
     def signature(self) -> str:
         return f"{self.name}({','.join(p.type for p in self.params)})"
 
@@ -88,6 +89,10 @@ class Project:
     name: str
     authentic_emitters: frozenset[str]
     events: tuple[EventRule, ...]
+
+    @cached_property
+    def emitters_sorted(self) -> tuple[str, ...]:
+        return tuple(sorted(self.authentic_emitters))
 
     def rule_for(self, topic0: int) -> EventRule | None:
         for rule in self.events:
@@ -119,7 +124,7 @@ def _parse_param(raw, where: str) -> EventParam:
         raise RulesError(f"{where}: each param must be a mapping")
     name = raw.get("name")
     type_ = raw.get("type")
-    if not isinstance(name, str) or not _NAME.match(name):
+    if not isinstance(name, str) or not _NAME(name):
         raise RulesError(f"{where}: param name {name!r} is not an identifier")
     if type_ not in STATIC_TYPES + DYNAMIC_TYPES:
         raise RulesError(f"{where}: unsupported param type {type_!r}")
@@ -146,7 +151,7 @@ def _parse_predicate(raw, params: tuple[EventParam, ...], where: str) -> Predica
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise RulesError(f"{where}: predicate on {pname!r} needs a non-negative integer")
     elif param.type == "address":
-        if not isinstance(value, str) or not _HEX20.match(value):
+        if not isinstance(value, str) or not _HEX20(value):
             raise RulesError(f"{where}: predicate on {pname!r} needs a 20-byte hex address")
         if op not in ("==", "!="):
             raise RulesError(f"{where}: address predicates support only == and !=")
@@ -165,7 +170,7 @@ def _parse_event(raw, where: str) -> EventRule:
     if not isinstance(raw, dict):
         raise RulesError(f"{where}: each event must be a mapping")
     name = raw.get("name")
-    if not isinstance(name, str) or not _NAME.match(name):
+    if not isinstance(name, str) or not _NAME(name):
         raise RulesError(f"{where}: event name {name!r} is not an identifier")
     where = f"{where}, event {name}"
     raw_params = raw.get("params")
@@ -185,7 +190,7 @@ def _parse_event(raw, where: str) -> EventRule:
         if not isinstance(selectors, list) or not selectors:
             raise RulesError(f"{where}: expected_selectors must be a non-empty list")
         for s in selectors:
-            if not isinstance(s, str) or not _HEX4.match(s):
+            if not isinstance(s, str) or not _HEX4(s):
                 raise RulesError(f"{where}: selector {s!r} must be a 4-byte hex string")
         selectors = frozenset(s.lower() for s in selectors)
 
@@ -217,7 +222,7 @@ def _parse_project(raw, index: int) -> Project:
     if not isinstance(emitters, list) or not emitters:
         raise RulesError(f"{where}: authentic_emitters must be a non-empty list")
     for addr in emitters:
-        if not isinstance(addr, str) or not _HEX20.match(addr):
+        if not isinstance(addr, str) or not _HEX20(addr):
             raise RulesError(f"{where}: emitter {addr!r} must be a 20-byte hex address")
     raw_events = raw.get("events")
     if not isinstance(raw_events, list) or not raw_events:

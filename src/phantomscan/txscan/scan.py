@@ -50,7 +50,7 @@ CONFIRMED = "CONFIRMED"
 POTENTIAL = "POTENTIAL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxFinding:
     kind: str
     check: str | None
@@ -189,7 +189,7 @@ class Scanner:
                         confidence=CONFIRMED,
                         detail={
                             "signature": rule.signature,
-                            "authentic_emitters": sorted(proj.authentic_emitters),
+                            "authentic_emitters": proj.emitters_sorted,
                         },
                     )
                 )

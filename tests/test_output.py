@@ -1,0 +1,226 @@
+"""Byte-identical output: the indented JSON writer, and pinned ids and digests."""
+
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import math
+from collections import OrderedDict
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_acceptance import _synthetic_corpus
+
+from phantomscan import jsonout
+from phantomscan._keccak import keccak256
+from phantomscan.cli import main
+from phantomscan.findings import CONFIDENCE_RANK, from_txlog, jsonable, make_finding
+from phantomscan.report import merge
+from phantomscan.resources import fixture_path
+from phantomscan.txscan import load_rules_file, parse_record, read_records_file, scan_records
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# -- the writer against json.dumps -------------------------------------
+
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "\ud800",
+                           "\U0001f600", "/", "<"])
+_TEXT = st.text(alphabet=_TRICKY | st.characters(), max_size=12)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2**300, max_value=2**300) | _FLOATS | _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=5)
+                      | st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_VALUES)
+def test_writer_equals_json_dumps(value):
+    assert jsonout.dumps(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}}, {"a": []}, [[], {}], "", 0, -0.0, math.nan, None,
+    {1.5: "x"}, {True: 1}, {False: 1}, {None: 1}, {-7: 1},
+    OrderedDict([("b", 1), ("a", 2)]),
+    {"a": {"b": {"c": {"d": [1, [2, [3, {"e": None}]]]}}}},
+])
+def test_writer_edge_values(value):
+    assert jsonout.dumps(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, {(1, 2): 1}, [b"x"]])
+def test_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        reference(value)
+    with pytest.raises(TypeError):
+        jsonout.dumps(value)
+
+
+# -- finding ids and order against their json.dumps definitions ---------
+
+_PAYLOADS = st.dictionaries(_TEXT, _SCALARS | st.lists(_SCALARS, max_size=3)
+                            | st.dictionaries(_TEXT, _SCALARS, max_size=3), max_size=4)
+
+
+
+def reference_jsonable(value):
+    """`jsonable` as it was before it dispatched on type()."""
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(reference_jsonable(v) for v in value)
+    if isinstance(value, bytes):
+        return "0x" + value.hex()
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, (int, float, str)):
+        return value
+    return str(value)
+
+
+class _Named:
+    def __str__(self):
+        return "named"
+
+
+_PAYLOAD_PARTS = st.recursive(
+    _SCALARS | st.binary(max_size=4) | st.just(_Named()) | st.frozensets(st.integers(), max_size=3)
+    | st.sets(_TEXT, max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT | st.integers() | st.booleans(), children, max_size=4)
+                      | st.dictionaries(_TEXT, children, max_size=3).map(OrderedDict)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOAD_PARTS)
+def test_jsonable_equals_its_reference(value):
+    assert repr(jsonable(value)) == repr(reference_jsonable(value))
+
+@settings(max_examples=100, deadline=None)
+@given(kind=_TEXT, subject=_PAYLOADS, evidence=_PAYLOADS)
+def test_finding_id_is_the_hash_of_its_compact_json(kind, subject, evidence):
+    f = make_finding("logs", kind, "CONFIRMED", subject, evidence)
+    blob = json.dumps({"layer": "logs", "kind": kind, "subject": f.subject,
+                       "evidence": f.evidence}, sort_keys=True, separators=(",", ":"))
+    assert f.id == hashlib.sha256(blob.encode("ascii")).digest()[:16].hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(CONFIDENCE_RANK)), _PAYLOADS), max_size=8))
+def test_findings_sort_as_by_their_spaced_subject_json(drawn):
+    findings = [make_finding("logs", "K", confidence, subject, {}) for confidence, subject in drawn]
+
+    def spaced_key(f):
+        return (CONFIDENCE_RANK[f.confidence], f.layer, f.kind,
+                json.dumps(f.subject, sort_keys=True), f.id)
+
+    assert sorted(findings, key=lambda f: f.sort_key) == sorted(findings, key=spaced_key)
+
+
+def test_a_replaced_subject_orders_by_its_own_json():
+    f = make_finding("logs", "K", "CONFIRMED", {"a": 2}, {})
+    g = dataclasses.replace(f, subject={"a": 1})
+    assert f.sort_key[3] == '{"a":2}' and g.sort_key[3] == '{"a":1}'
+
+def _captured_report_document(monkeypatch, report):
+    """The document `report.to_json()` writes, and the text it returns."""
+    docs = []
+    real = jsonout.dumps
+
+    def capture(doc):
+        docs.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(jsonout, "dumps", capture)
+    text = report.to_json()
+    (doc,) = docs
+    return doc, text
+
+
+CORPORA = ["bridge_edge_logs.jsonl", "bridge_logs.jsonl", "spoof3_approved_logs.jsonl",
+           "spoof3_logs.jsonl", "spoof_approved_logs.jsonl", "spoof_logs.jsonl"]
+
+
+@pytest.mark.parametrize("rules", ["bridge_rules.yaml", "bridge_rules_strict.yaml"])
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_scan_report_equals_json_dumps_on_bundled_corpora(monkeypatch, corpus, rules):
+    raw, caveats = scan_records(read_records_file(fixture_path(corpus)),
+                                load_rules_file(fixture_path(rules)))
+    doc, text = _captured_report_document(monkeypatch, merge(map(from_txlog, raw), caveats))
+    assert text == reference(doc)
+
+
+def test_scan_report_equals_json_dumps_on_c10_corpus(monkeypatch):
+    raw, caveats = scan_records(_synthetic_corpus(2000),
+                                load_rules_file(fixture_path("bridge_rules.yaml")))
+    assert len(raw) > 1000
+    doc, text = _captured_report_document(monkeypatch, merge(map(from_txlog, raw), caveats))
+    assert text == reference(doc)
+
+
+# -- pinned ids and bytes ----------------------------------------------
+# Computed before the writer replaced json.dumps; a change to finding ids
+# or to the report format must show up here.
+
+PINNED = {
+    ("scan-logs", "spoof3_logs.jsonl", "--rules", "bridge_rules.yaml", "--json"): (
+        "49a167093195aeaaea84ea9a2191ca8250fd46a6e258d8ba8e6ae37ec01af709",
+        ["e4c4882bfb33c8810f7716acc6759897", "ad53a4d9ec449aaee4d4ae711fda7de9",
+         "6b4f6503fed0ec85e84c717895c2aaa0", "87ae0f467e9645431183c72a19ab8198"],
+    ),
+    ("scan-logs", "bridge_logs.jsonl", "--rules", "bridge_rules.yaml", "--json"): (
+        "bbf9b85bcefd9e3c2cb75ae26781c949b9952541f12068658603a3e1be163f0e",
+        ["c040a644d674505399d89a5b4955947c", "f83a55ec73e1be5d402cf8f08ac00e82"],
+    ),
+    ("analyze-bytecode", "counterfeit.hex", "--json"): (
+        "0b6b1fdd9f18336a26919ea6c16f412819e1df6d1a8080b0ee99fa84db4d42a8",
+        ["0d71f6a1155e8a2e59338c1bcf10c97b"],
+    ),
+    ("analyze-source", "counterfeit.msol", "--json"): (
+        "93d7070a2b157ef0e099ecc2bd5c87cb0b95f2f50f177c954c21c994f7c916c9",
+        ["c596299d664f40d546f51aa61c779756", "548e2137b6f3c6fc4ff5a12e7439409f",
+         "2c5218b9923f1c1508315e5eff2267af"],
+    ),
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(PINNED), ids=" ".join)
+def test_pinned_ids_and_output_digest(invocation):
+    digest, ids = PINNED[invocation]
+    args = [str(fixture_path(a)) if "." in a and not a.startswith("-") else a
+            for a in invocation]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert [f["id"] for f in json.loads(res.stdout_bytes)["findings"]] == ids
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+# -- tools/output_digests.py -------------------------------------------
+
+
+def test_digest_tool_corpus_is_the_c10_corpus():
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = tool.c10_rows(3000, keccak256)
+    assert [parse_record(row) for row in rows] == _synthetic_corpus(3000)

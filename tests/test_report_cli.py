@@ -226,6 +226,18 @@ def test_cli_out_of_order_record_names_its_line(tmp_path):
     assert f"error: {corpus}: line 2: records out of order" in res.stderr
 
 
+
+def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
+    first = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    first["address"] = "0x" + "11" * 20 + "\n"
+    corpus = tmp_path / "newline.jsonl"
+    corpus.write_text(json.dumps(first) + "\n")
+    res = runner().invoke(main, ["scan-logs", str(corpus), "--rules", FIX["bridge_rules.yaml"],
+                                 "--json"])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {corpus}: line 1: address must be a 20-byte hex string\n"
+    assert res.stdout == ""
+
 def test_cli_internal_error_exits_3_naming_the_file(monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("boom")

@@ -107,6 +107,14 @@ def test_parse_record_rejects_bad_shapes():
         ("topics", ["0xzz"], "32-byte"),
         ("data", "0xabc", "even-length"),
         ("txSelector", "0x123456", "4-byte"),
+        # a trailing newline, which `$` in a pattern would let through
+        ("txHash", f"0x{1:064x}\n", "32-byte"),
+        ("address", VAULT + "\n", "20-byte"),
+        ("txFrom", ATTACKER + "\n", "20-byte"),
+        ("txTo", PTOKEN + "\n", "20-byte"),
+        ("txSelector", "0xaabbccdd\n", "4-byte"),
+        ("topics", [t_uint(1) + "\n"], "32-byte"),
+        ("data", "0xab\n", "even-length"),
     ]:
         bad = dict(base)
         bad[field] = value
@@ -252,6 +260,17 @@ def test_ruleset_validation_errors():
         predicates=[{"param": "who", "op": "<", "value": VAULT}],
     )
     check(addr_event, "only == and !=")
+    # a trailing newline, which `$` in a pattern would let through
+    doc = _rules_doc()
+    doc["projects"][0]["authentic_emitters"] = [VAULT + "\n"]
+    check(doc, "20-byte hex address")
+    check(_rules_doc(expected_selectors=["0xaabbccdd\n"]), "4-byte hex string")
+    check(_rules_doc(name="Ping\n"), "is not an identifier")
+    check(_rules_doc(params=[{"name": "x\n", "type": "uint256", "indexed": False}]),
+          "is not an identifier")
+    check(_rules_doc(params=[{"name": "who", "type": "address", "indexed": False}],
+                     predicates=[{"param": "who", "op": "==", "value": VAULT + "\n"}]),
+          "20-byte hex address")
 
 
 def test_event_topic0_matches_keccak_oracle():

@@ -1,0 +1,202 @@
+"""Print a digest of every CLI output on the bundled fixtures.
+
+    python tools/output_digests.py [SRC]
+
+Runs each phantomscan subcommand, as a child process, on the bundled
+fixtures and on the acceptance suite's c10 log corpus (50,000 records,
+seed 424242), and prints one line per invocation:
+
+    <sha256 of stdout, NUL, stderr> <exit code> <invocation>
+
+SRC is the source directory of the checkout to run (default: this
+checkout's `src`).  Two checkouts produce byte-identical output on
+these inputs exactly when their runs print the same lines:
+
+    python tools/output_digests.py > after.txt
+    python tools/output_digests.py ../parent/src > before.txt
+    diff before.txt after.txt
+
+Every child runs in one temporary directory holding a copy of the
+fixtures and the corpus, on relative paths, so the output does not
+depend on where a checkout lives.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+C10_SEED = 424242
+C10_RECORDS = 50_000
+
+HEX = ("checked_call", "counterfeit", "emit_helper", "inconsistent",
+       "inconsistent_safe", "nocheck_call")
+MSOL = ("counterfeit", "disjoint", "inconsistent", "inconsistent_safe", "relay")
+CORPORA = ("bridge_edge_logs", "bridge_logs", "spoof3_approved_logs", "spoof3_logs",
+           "spoof_approved_logs", "spoof_logs", "c10")
+RULES = ("bridge_rules.yaml", "bridge_rules_strict.yaml")
+
+
+def _topic(signature: str, keccak256) -> str:
+    return "0x" + keccak256(signature.encode("ascii")).hex()
+
+
+def _t_addr(addr: str) -> str:
+    return "0x" + "0" * 24 + addr[2:]
+
+
+def _enc(*items) -> str:
+    """Head/tail ABI encoding of (type, value) pairs."""
+    heads, tails = [], []
+    tail_at = 32 * len(items)
+    for type_, value in items:
+        if type_ == "uint256":
+            heads.append(f"{value:064x}")
+        else:
+            payload = value.encode("utf-8") if type_ == "string" else value
+            heads.append(f"{tail_at:064x}")
+            padded = payload + b"\x00" * (-len(payload) % 32)
+            tails.append(f"{len(payload):064x}" + padded.hex())
+            tail_at += 32 + len(padded)
+    return "0x" + "".join(heads) + "".join(tails)
+
+
+def c10_rows(count: int, keccak256) -> list[dict]:
+    """The acceptance suite's c10 corpus (`_synthetic_corpus`), as JSONL rows."""
+    rng = random.Random(C10_SEED)
+    t_transfer = _topic("Transfer(address,address,uint256)", keccak256)
+    t_approval = _topic("Approval(address,address,uint256)", keccak256)
+    t_redeem = _topic("Redeem(address,uint256,string,bytes)", keccak256)
+    t_burned = _topic("Burned(address,address,uint256,bytes,bytes)", keccak256)
+    t_noise = _topic("Noise(uint256)", keccak256)
+    people = [f"0x{i:040x}" for i in range(0xA1, 0xA9)]
+    tokens = ["0x" + "44" * 20, "0x" + "55" * 20]
+    emitters = ["0x" + "11" * 20, "0x" + "22" * 20, "0x" + "a7" * 20, "0x" + "cd" * 20]
+    rows: list[dict] = []
+    txn = 0
+    block = 0
+    while len(rows) < count:
+        block += 1
+        log_index = 0
+        for _ in range(rng.randint(1, 2)):
+            txn += 1
+            sender = rng.choice(people)
+            for _ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                if roll < 0.40:
+                    a, b = rng.sample(people, 2)
+                    address = rng.choice(tokens)
+                    topics = [t_transfer, _t_addr(a), _t_addr(b)]
+                    data = _enc(("uint256", rng.randint(0, 10_000)))
+                elif roll < 0.55:
+                    a, b = rng.sample(people, 2)
+                    address = rng.choice(tokens)
+                    topics = [t_approval, _t_addr(a), _t_addr(b)]
+                    data = _enc(("uint256", rng.randint(0, 5)))
+                elif roll < 0.75:
+                    address = rng.choice(emitters)
+                    topics = [t_redeem, _t_addr(rng.choice(people))]
+                    data = _enc(("uint256", rng.randint(1, 9)), ("string", "r"), ("bytes", b""))
+                elif roll < 0.90:
+                    a, b = rng.sample(people, 2)
+                    address = rng.choice(emitters)
+                    topics = [t_burned, _t_addr(a), _t_addr(b)]
+                    data = _enc(("uint256", 1), ("bytes", b""), ("bytes", b""))
+                else:
+                    address = rng.choice(emitters)
+                    topics = [t_noise]
+                    data = _enc(("uint256", 0))
+                rows.append({
+                    "txHash": f"0x{txn:064x}",
+                    "logIndex": log_index,
+                    "blockNumber": block,
+                    "address": address,
+                    "topics": topics,
+                    "data": data,
+                    "txFrom": sender,
+                    "txTo": address,
+                    "txSelector": "0xaabbccdd",
+                })
+                log_index += 1
+    return rows
+
+
+def invocations() -> list[list[str]]:
+    """Every subcommand over the fixtures, as argument lists relative to the work directory."""
+    runs: list[list[str]] = []
+    for name in HEX:
+        hex_file = f"{name}.hex"
+        runs += [
+            ["disasm", hex_file],
+            ["disasm", hex_file, "--json"],
+            ["disasm", hex_file, "--keep-metadata", "--json"],
+            ["icfg", hex_file],
+            ["icfg", hex_file, "--sigdb", "sigdb.txt"],
+            ["icfg", hex_file, "--sigdb", "sigdb.txt", "--dot"],
+            ["analyze-bytecode", hex_file],
+            ["analyze-bytecode", hex_file, "--json"],
+            ["analyze-bytecode", hex_file, "--sigdb", "sigdb.txt", "--json"],
+            ["analyze-bytecode", hex_file, "--sigdb", "sigdb.txt", "--strict-eq2", "--json"],
+            ["report", "--bytecode", hex_file, "--sigdb", "sigdb.txt"],
+        ]
+    for name in MSOL:
+        msol = f"{name}.msol"
+        runs += [
+            ["parse", msol],
+            ["parse", msol, "--summary"],
+            ["analyze-source", msol],
+            ["analyze-source", msol, "--json"],
+            ["report", "--source", msol],
+        ]
+    for name in CORPORA:
+        corpus = f"{name}.jsonl"
+        runs += [["scan-logs", corpus], ["scan-logs", corpus, "--json"],
+                 ["scan-logs", corpus, "--no-spoofing", "--json"]]
+        for rules in RULES:
+            runs += [["scan-logs", corpus, "--rules", rules],
+                     ["scan-logs", corpus, "--rules", rules, "--json"]]
+    everything = ["report", "--sigdb", "sigdb.txt", "--rules", "bridge_rules.yaml"]
+    for name in HEX:
+        everything += ["--bytecode", f"{name}.hex"]
+    for name in MSOL:
+        everything += ["--source", f"{name}.msol"]
+    for name in CORPORA[:-1]:
+        everything += ["--logs", f"{name}.jsonl"]
+    runs.append(everything)
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]).resolve() if argv else HERE.parent / "src"
+    fixtures = src / "phantomscan" / "fixtures"
+    if not (src / "phantomscan" / "cli.py").is_file():
+        print(f"error: no phantomscan sources under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    from phantomscan._keccak import keccak256
+
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory(prefix="phantomscan-digests-") as work:
+        for item in fixtures.iterdir():
+            shutil.copy(item, work)
+        with open(Path(work) / "c10.jsonl", "w", encoding="utf-8") as fh:
+            for row in c10_rows(C10_RECORDS, keccak256):
+                fh.write(json.dumps(row) + "\n")
+        for args in invocations():
+            proc = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args],
+                                  cwd=work, env=env, capture_output=True, check=False)
+            digest = hashlib.sha256(proc.stdout + b"\0" + proc.stderr).hexdigest()
+            print(f"{digest} {proc.returncode} {' '.join(args)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
