@@ -1,11 +1,15 @@
 """Recursive-descent parser and name resolution.
 
 `parse` builds the tree, `load` additionally resolves every identifier
-against the contract's declarations.  Multiplication is only accepted
-with a literal operand, which keeps downstream constraint reasoning
-linear.  Nesting (blocks, parentheses, keys, `!`) and expression trees
-are limited to `MAX_DEPTH` levels, so neither this parser nor the
-recursive passes over its trees can exhaust the interpreter stack.
+against the contract's declarations and, as in Solidity, keeps bool and
+non-bool values apart: conditions and the operands of `! && ||` are
+bool, those of `+ - * < <= > >=` are not, and `==` and `!=` compare
+like with like.  Multiplication is only accepted with a literal
+operand.  So every number the engine builds is linear, and every
+condition is a formula.  Nesting (blocks, parentheses, keys, `!`) and
+expression trees are limited to `MAX_DEPTH` levels, so neither this
+parser nor the recursive passes over its trees can exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -435,7 +439,7 @@ class _Resolver:
     def stmt(self, fn: ast.Function, s: ast.Node, scope: dict[str, str]) -> None:
         c = self.contract
         if isinstance(s, ast.Require):
-            self.expr(s.cond, scope)
+            self.typed(s.cond, scope, "bool", "condition")
         elif isinstance(s, ast.Emit):
             ev = c.event(s.event)
             if ev is None:
@@ -443,33 +447,35 @@ class _Resolver:
             if len(s.args) != len(ev.params):
                 self.fail(s, f"event '{s.event}' takes {len(ev.params)} "
                              f"argument(s), got {len(s.args)}")
-            for a in s.args:
-                self.expr(a, scope)
+            for a, p in zip(s.args, ev.params):
+                self.typed(a, scope, p.type, f"value for '{p.name}'")
         elif isinstance(s, ast.If):
-            self.expr(s.cond, scope)
+            self.typed(s.cond, scope, "bool", "condition")
             # branch scopes fork: locals declared inside do not escape
             self.body(fn, s.then, dict(scope))
             self.body(fn, s.orelse, dict(scope))
         elif isinstance(s, ast.LocalDecl):
-            self.expr(s.value, scope)
+            self.typed(s.value, scope, s.type, f"value for '{s.name}'")
             if s.name in scope or c.state_var(s.name):
                 self.fail(s, f"'{s.name}' is already declared")
             scope[s.name] = s.type
         elif isinstance(s, ast.Assign):
-            self.expr(s.value, scope)
+            value = self.expr(s.value, scope)
             if s.target in scope:
+                self.check(s.value, value, scope[s.target], f"value for '{s.target}'")
                 return
             sv = c.state_var(s.target)
             if sv is None:
                 self.fail(s, f"unknown name '{s.target}'")
             if sv.is_mapping:
                 self.fail(s, f"mapping '{s.target}' needs a key")
+            self.check(s.value, value, sv.type, f"value for '{s.target}'")
         elif isinstance(s, ast.MapWrite):
             sv = c.state_var(s.target)
             if sv is None or not sv.is_mapping:
                 self.fail(s, f"'{s.target}' is not a mapping")
-            self.expr(s.key, scope)
-            self.expr(s.value, scope)
+            self.typed(s.key, scope, sv.key_type, f"key of '{s.target}'")
+            self.typed(s.value, scope, sv.type, f"value for '{s.target}'")
         elif isinstance(s, ast.CallStmt):
             if scope.get(s.result) != "bool":
                 self.fail(s, f"call result '{s.result}' must be a bool local")
@@ -483,45 +489,62 @@ class _Resolver:
             if len(s.args) != len(callee.params):
                 self.fail(s, f"'{s.name}' takes {len(callee.params)} "
                              f"argument(s), got {len(s.args)}")
-            for a in s.args:
-                self.expr(a, scope)
+            for a, p in zip(s.args, callee.params):
+                self.typed(a, scope, p.type, f"value for '{p.name}'")
         elif isinstance(s, (ast.Revert, ast.Return)):
             if isinstance(s, ast.Return) and s.value is not None:
                 self.expr(s.value, scope)
         else:
             raise TypeError(f"unexpected statement {type(s).__name__}")
 
-    def expr(self, e: ast.Node, scope: dict[str, str]) -> None:
+    def check(self, e: ast.Node, got: str, want: str, what: str) -> None:
+        """Bool and non-bool values do not mix, as in Solidity."""
+        if (got == "bool") != (want == "bool"):
+            line, col = self.where(e)
+            raise SyntaxError(line, col, f"a {'' if want == 'bool' else 'non-'}bool {what}",
+                              found=got)
+
+    def typed(self, e: ast.Node, scope: dict[str, str], want: str, what: str) -> None:
+        self.check(e, self.expr(e, scope), want, what)
+
+    def expr(self, e: ast.Node, scope: dict[str, str]) -> str:
+        """Resolve every name in `e` and return its type."""
         c = self.contract
-        if isinstance(e, (ast.Lit, ast.BoolLit, ast.AddressLit,
-                          ast.MsgSender, ast.MsgValue)):
-            return
+        if isinstance(e, ast.BoolLit):
+            return "bool"
+        if isinstance(e, (ast.Lit, ast.MsgValue)):
+            return "uint256"
+        if isinstance(e, (ast.AddressLit, ast.MsgSender)):
+            return "address"
         if isinstance(e, ast.Name):
             if e.ident in scope:
-                return
+                return scope[e.ident]
             sv = c.state_var(e.ident)
             if sv is None:
                 self.fail(e, f"unknown name '{e.ident}'")
             if sv.is_mapping:
                 self.fail(e, f"mapping '{e.ident}' needs a key")
-            return
+            return sv.type
         if isinstance(e, ast.Index):
             sv = c.state_var(e.ident)
             if sv is None or not sv.is_mapping:
                 self.fail(e, f"'{e.ident}' is not a mapping")
-            self.expr(e.key, scope)
-            return
+            self.typed(e.key, scope, sv.key_type, f"key of '{e.ident}'")
+            return sv.type
         if isinstance(e, ast.Unary):
-            self.expr(e.operand, scope)
-            return
+            self.typed(e.operand, scope, "bool", "operand of '!'")
+            return "bool"
         if isinstance(e, ast.Binary):
             if e.op == "*" and not (
                 isinstance(e.left, ast.Lit) or isinstance(e.right, ast.Lit)
             ):
                 self.fail(e, "multiplication requires a literal operand")
-            self.expr(e.left, scope)
-            self.expr(e.right, scope)
-            return
+            left = self.expr(e.left, scope)
+            # == and != compare like with like; + - * < <= > >= take numbers
+            want = {"&&": "bool", "||": "bool", "==": left, "!=": left}.get(e.op, "uint256")
+            self.check(e.left, left, want, f"operand of '{e.op}'")
+            self.typed(e.right, scope, want, f"operand of '{e.op}'")
+            return "uint256" if e.op in ("+", "-", "*") else "bool"
         raise TypeError(f"unexpected expression {type(e).__name__}")
 
 

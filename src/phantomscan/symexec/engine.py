@@ -18,6 +18,7 @@ from .._keccak import event_topic
 from ..minisol import ast
 from .solver import SAT, solve
 from .values import (
+    ARITH_OPS,
     BinOp,
     CallerSym,
     CallSuccessSym,
@@ -27,8 +28,11 @@ from .values import (
     StorageSym,
     SymValue,
     ValueSym,
+    arith,
     evaluate,
     input_atoms,
+    is_formula,
+    linear,
     rename,
     sort_of_type,
 )
@@ -80,12 +84,20 @@ class SourceFinding:
         return (self.kind, self.event, self.functions)
 
 
+def _slot(var: str, key: SymValue | None) -> tuple:
+    """Where var[key] lives: a numeric key in its canonical linear form,
+    so m[x + 1] and m[1 + x] are one slot; a bool formula as it is."""
+    if key is None or is_formula(key):
+        return var, key
+    return var, linear(key)
+
+
 class _State:
     def __init__(self):
         self.env: dict[str, SymValue] = {}
-        self.storage: dict[tuple[str, str], SymValue] = {}
-        self.versions: dict[tuple[str, str], int] = {}
-        self.read_memo: dict[tuple[str, str], StorageSym] = {}
+        self.storage: dict[tuple, SymValue] = {}
+        self.versions: dict[tuple, int] = {}
+        self.read_memo: dict[tuple, StorageSym] = {}
         self.conjuncts: list[SymValue] = []
         self.emits: list[EmitRecord] = []
         self.writes: list[WriteRecord] = []
@@ -139,11 +151,14 @@ class _Executor:
         if isinstance(e, ast.Unary):
             return NotOp(self.eval(e.operand, st))
         if isinstance(e, ast.Binary):
-            return BinOp(e.op, self.eval(e.left, st), self.eval(e.right, st))
+            left, right = self.eval(e.left, st), self.eval(e.right, st)
+            if e.op in ARITH_OPS:
+                return arith(e.op, left, right)
+            return BinOp(e.op, left, right)
         raise TypeError(type(e).__name__)
 
     def read_storage(self, var: str, key: SymValue | None, st: _State) -> SymValue:
-        slot = (var, "" if key is None else str(key))
+        slot = _slot(var, key)
         if slot in st.storage:
             return st.storage[slot]
         if slot not in st.read_memo:
@@ -155,7 +170,7 @@ class _Executor:
 
     def write_storage(self, var: str, key: SymValue | None, value: SymValue,
                       st: _State) -> None:
-        slot = (var, "" if key is None else str(key))
+        slot = _slot(var, key)
         st.storage[slot] = value
         st.versions[slot] = st.versions.get(slot, 0) + 1
         st.writes.append(WriteRecord(var=var, key=key, value=value))

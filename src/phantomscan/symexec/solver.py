@@ -3,7 +3,8 @@
 Formulas are conjunctions of linear comparisons over unsigned bounded
 integers (uint256, address, bool as 0/1, bytes as opaque ids).  The
 pipeline: normalize to atoms (conjunction splitting, negation pushing,
-constant folding), then interval propagation inside a depth-first
+constant folding; a comparison's atom is the difference of its two
+already linear sides), then interval propagation inside a depth-first
 search under a node budget.  The search fixes the narrowest open
 variable to its lower bound first and splits the rest of a large range
 in two; small domains are enumerated.  Propagation that cannot settle
@@ -12,8 +13,9 @@ elimination.
 
 Verdicts are honest: SAT only with a model that re-evaluates every
 original conjunct to true, UNSAT only when the search space was covered
-completely, UNKNOWN otherwise (disjunctions, non-linear terms, budget
-exhaustion, or a model that fails re-evaluation).
+completely, UNKNOWN otherwise: a disjunction, a bool == or != between
+formulas (neither with a constant side), node budget exhaustion, or a
+model that fails re-evaluation.  Non-linear terms cannot be built.
 """
 
 from __future__ import annotations
@@ -23,19 +25,21 @@ from functools import reduce
 from math import gcd
 
 from .values import (
-    ARITH_OPS,
     ATOMIC,
     BOOL_OPS,
-    CMP_OPS,
     SORT_BOUNDS,
+    Affine,
     BinOp,
     Literal,
     NotOp,
     StorageSym,
     SymValue,
     atoms,
+    connective_kids,
     evaluate,
-    sort_of,
+    is_formula,
+    linear_sum,
+    render,
 )
 
 DEFAULT_NODE_BUDGET = 4096
@@ -48,10 +52,6 @@ UNKNOWN = "UNKNOWN"
 
 
 class _Disjunction(Exception):
-    pass
-
-
-class _NonLinear(Exception):
     pass
 
 
@@ -78,89 +78,50 @@ class _Atom:
         return total < 0
 
 
-def _linearize(v: SymValue) -> tuple[dict[SymValue, int], int]:
-    if isinstance(v, Literal):
-        return {}, v.value
-    if isinstance(v, ATOMIC):
-        if sort_of(v) == "bool":
-            # bool atoms participate as 0/1 integers
-            return {v: 1}, 0
-        return {v: 1}, 0
-    if isinstance(v, BinOp) and v.op in ("+", "-"):
-        lc, lk = _linearize(v.left)
-        rc, rk = _linearize(v.right)
-        sign = 1 if v.op == "+" else -1
-        out = dict(lc)
-        for s, c in rc.items():
-            out[s] = out.get(s, 0) + sign * c
-        return {s: c for s, c in out.items() if c}, lk + sign * rk
-    if isinstance(v, BinOp) and v.op == "*":
-        lc, lk = _linearize(v.left)
-        rc, rk = _linearize(v.right)
-        if not lc:
-            factor, coeffs, k = lk, rc, rk
-        elif not rc:
-            factor, coeffs, k = rk, lc, lk
-        else:
-            raise _NonLinear
-        return {s: c * factor for s, c in coeffs.items() if c * factor}, k * factor
-    raise _NonLinear
-
-
-_NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-
+# L op R, and its negation, as (op, swap): L - R op 0, or R - L op 0
+# when swapped
 _TO_ATOM = {
-    # canonical form of  L op R  as  L - R  relation with 0
-    "==": ("eq", 0), "!=": ("ne", 0),
-    "<": ("lt", 0), "<=": ("le", 0),
-    ">": ("lt", 1), ">=": ("le", 1),  # swap sides
+    "==": (("eq", False), ("ne", False)), "!=": (("ne", False), ("eq", False)),
+    "<": (("lt", False), ("le", True)), "<=": (("le", False), ("lt", True)),
+    ">": (("lt", True), ("le", False)), ">=": (("le", True), ("lt", False)),
 }
 
 
-def _normalize(conjunct: SymValue, positive: bool, out: list[_Atom]) -> None:
-    if isinstance(conjunct, NotOp):
-        _normalize(conjunct.operand, not positive, out)
-        return
-    if isinstance(conjunct, Literal):
-        truthy = bool(conjunct.value)
-        if truthy != positive:
-            raise _Contradiction
-        return
-    if isinstance(conjunct, BinOp) and conjunct.op in BOOL_OPS:
-        is_and = (conjunct.op == "&&") == positive
-        if is_and:
-            _normalize(conjunct.left, positive, out)
-            _normalize(conjunct.right, positive, out)
-            return
-        # a genuine disjunction: give up rather than approximate,
-        # unless one side folds to a constant
-        for side, other in ((conjunct.left, conjunct.right),
-                            (conjunct.right, conjunct.left)):
-            if not atoms(side):
-                if bool(evaluate(side, {})) == positive:
-                    return  # this side already satisfies the disjunct
-                _normalize(other, positive, out)
-                return
-        raise _Disjunction
-    if isinstance(conjunct, BinOp) and conjunct.op in CMP_OPS:
-        op = conjunct.op if positive else _NEGATED[conjunct.op]
-        kind, swap = _TO_ATOM[op]
-        left, right = (conjunct.right, conjunct.left) if swap else \
-                      (conjunct.left, conjunct.right)
-        lc, lk = _linearize(left)
-        rc, rk = _linearize(right)
-        coeffs = dict(lc)
-        for s, c in rc.items():
-            coeffs[s] = coeffs.get(s, 0) - c
-        coeffs = {s: c for s, c in coeffs.items() if c}
-        out.append(_Atom(tuple(sorted(coeffs.items(), key=lambda kv: repr(kv[0]))),
-                         lk - rk, kind))
-        return
-    if isinstance(conjunct, ATOMIC) and sort_of(conjunct) == "bool":
-        want = 1 if positive else 0
-        out.append(_Atom(((conjunct, 1),), -want, "eq"))
-        return
-    raise _NonLinear
+def _normalize(conjunct: SymValue, out: list[_Atom]) -> None:
+    """Append the atoms of one conjunct.  Negations are pushed down and
+    conjunctions split on an explicit stack of (formula, polarity)."""
+    stack = [(conjunct, True)]
+    while stack:
+        v, positive = stack.pop()
+        if isinstance(v, NotOp):
+            stack.append((v.operand, not positive))
+        elif isinstance(v, Literal):
+            if bool(v.value) != positive:
+                raise _Contradiction
+        elif isinstance(v, ATOMIC) and v.sort == "bool":
+            out.append(_Atom(((v, 1),), -1 if positive else 0, "eq"))
+        elif not isinstance(v, BinOp):
+            raise TypeError(f"not a formula: {v}")
+        elif v.op in BOOL_OPS and (v.op == "&&") == positive:
+            stack += ((v.right, positive), (v.left, positive))
+        elif v.op in BOOL_OPS or v.op in ("==", "!=") and (is_formula(v.left) or
+                                                           is_formula(v.right)):
+            # a genuine disjunction, or a bool == / != (one in disguise):
+            # give up rather than approximate, unless one side folds to
+            # a constant
+            side = next((s for s in (v.left, v.right) if not atoms(s)), None)
+            if side is None:
+                raise _Disjunction
+            other = v.right if side is v.left else v.left
+            value = bool(evaluate(side, {}))
+            if v.op not in BOOL_OPS:
+                stack.append((other, value == ((v.op == "==") == positive)))
+            elif value != positive:  # this side does not settle it
+                stack.append((other, positive))
+        else:
+            op, swap = _TO_ATOM[v.op][not positive]
+            left, right = (v.right, v.left) if swap else (v.left, v.right)
+            out.append(_Atom(*linear_sum(left, right, -1), op))
 
 
 def _cdiv_ceil(a: int, b: int) -> int:
@@ -348,10 +309,10 @@ def solve(conjuncts: list[SymValue],
     atoms_: list[_Atom] = []
     try:
         for c in conjuncts:
-            _normalize(c, True, atoms_)
+            _normalize(c, atoms_)
     except _Contradiction:
         return UNSAT, None
-    except (_Disjunction, _NonLinear):
+    except _Disjunction:
         return UNKNOWN, None
 
     for a in atoms_:
@@ -372,7 +333,7 @@ def solve(conjuncts: list[SymValue],
     bounds: dict[SymValue, tuple[int, int]] = {}
     for a in atoms_:
         for s, _ in a.coeffs:
-            bounds.setdefault(s, SORT_BOUNDS[sort_of(s)])
+            bounds.setdefault(s, SORT_BOUNDS[s.sort])
 
     result = _search(atoms_, bounds, node_budget)
     if result == "unsat":
@@ -384,7 +345,7 @@ def solve(conjuncts: list[SymValue],
     # storage atoms inside keys may not be tracked: give them entries
     for c in conjuncts:
         for s in atoms(c):
-            model.setdefault(s, SORT_BOUNDS[sort_of(s)][0])
+            model.setdefault(s, SORT_BOUNDS[s.sort][0])
     if not all(bool(evaluate(c, model)) for c in conjuncts):
         return UNKNOWN, None
     if not _storage_consistent(model):
@@ -407,58 +368,65 @@ def _smt_name(s: SymValue) -> str:
     return f"|{s}|"
 
 
+_SMT_BOOL = {"&&": "and", "||": "or"}
 _SMT_CMP = {"<": "bvult", "<=": "bvule", ">": "bvugt", ">=": "bvuge"}
-_SMT_ARITH = {"+": "bvadd", "-": "bvsub", "*": "bvmul"}
 
 
 def _smt_term(v: SymValue, width: int) -> str:
-    """Render a numeric term at the requested bit width."""
+    """Render a number at the requested bit width: an Affine as the sum
+    of its positive parts, from which the negative ones are subtracted."""
     if isinstance(v, Literal):
         return f"(_ bv{v.value} {width})"
-    if isinstance(v, ATOMIC):
-        own = _SORT_WIDTH[sort_of(v)]
-        name = _smt_name(v)
-        if own < width:
-            return f"((_ zero_extend {width - own}) {name})"
-        return name
-    if isinstance(v, BinOp) and v.op in ARITH_OPS:
-        return (f"({_SMT_ARITH[v.op]} {_smt_term(v.left, width)} "
-                f"{_smt_term(v.right, width)})")
-    raise TypeError(f"not a numeric term: {v}")
+    if isinstance(v, Affine):
+        text = None
+        for s, c in sorted((*v.terms, (None, v.const)), key=lambda p: p[1] <= 0):
+            n = abs(c) % (1 << width)
+            part = f"(_ bv{n} {width})" if s is None else _smt_term(s, width)
+            if n > 1 and s is not None:
+                part = f"(bvmul (_ bv{n} {width}) {part})"
+            if n and text is None and c > 0:
+                text = part
+            elif n:
+                text = f"({'bvadd' if c > 0 else 'bvsub'} {text or f'(_ bv0 {width})'} {part})"
+        return text or f"(_ bv0 {width})"
+    own = _SORT_WIDTH[v.sort]
+    name = _smt_name(v)
+    if own < width:
+        return f"((_ zero_extend {width - own}) {name})"
+    return name
 
 
 def _term_width(v: SymValue) -> int:
-    if isinstance(v, Literal):
+    if isinstance(v, (Literal, *ATOMIC)):
         return _SORT_WIDTH.get(v.sort, 256)
-    if isinstance(v, ATOMIC):
-        return _SORT_WIDTH[sort_of(v)]
-    if isinstance(v, BinOp) and v.op in ARITH_OPS:
-        return max(_term_width(v.left), _term_width(v.right))
     return 256
 
 
-def _smt_formula(v: SymValue) -> str:
-    if isinstance(v, Literal) and sort_of(v) == "bool":
-        return "true" if v.value else "false"
-    if isinstance(v, ATOMIC) and sort_of(v) == "bool":
-        return _smt_name(v)
-    if isinstance(v, NotOp):
-        return f"(not {_smt_formula(v.operand)})"
-    if isinstance(v, BinOp) and v.op in BOOL_OPS:
-        word = "and" if v.op == "&&" else "or"
-        return f"({word} {_smt_formula(v.left)} {_smt_formula(v.right)})"
-    if isinstance(v, BinOp) and v.op in CMP_OPS:
-        if sort_of(v.left) == "bool" and sort_of(v.right) == "bool":
-            inner = f"(= {_smt_formula(v.left)} {_smt_formula(v.right)})"
-            return inner if v.op == "==" else f"(not {inner})"
-        w = max(_term_width(v.left), _term_width(v.right))
-        l, r = _smt_term(v.left, w), _smt_term(v.right, w)
-        if v.op == "==":
-            return f"(= {l} {r})"
-        if v.op == "!=":
-            return f"(not (= {l} {r}))"
-        return f"({_SMT_CMP[v.op]} {l} {r})"
-    raise TypeError(f"not a formula: {v}")
+def _smt_leaf(x: SymValue) -> str:
+    """A bool literal or atom, or a comparison between numbers."""
+    if x.sort == "bool" and isinstance(x, Literal):
+        return "true" if x.value else "false"
+    if x.sort == "bool" and isinstance(x, ATOMIC):
+        return _smt_name(x)
+    if not isinstance(x, BinOp):
+        raise TypeError(f"not a formula: {x}")
+    w = max(_term_width(x.left), _term_width(x.right))
+    l, r = _smt_term(x.left, w), _smt_term(x.right, w)
+    if x.op == "==":
+        return f"(= {l} {r})"
+    if x.op == "!=":
+        return f"(not (= {l} {r}))"
+    return f"({_SMT_CMP[x.op]} {l} {r})"
+
+
+def _smt_parts(x: SymValue) -> list | None:
+    if isinstance(x, NotOp):
+        return ["(not ", x.operand, ")"]
+    if not connective_kids(x):
+        return None
+    if x.op == "!=":
+        return ["(not (= ", x.left, " ", x.right, "))"]
+    return [f"({_SMT_BOOL.get(x.op, '=')} ", x.left, " ", x.right, ")"]
 
 
 def export_smtlib(conjuncts: list[SymValue]) -> str:
@@ -466,11 +434,11 @@ def export_smtlib(conjuncts: list[SymValue]) -> str:
     declared: dict[str, str] = {}
     for c in conjuncts:
         for s in sorted(atoms(c), key=str):
-            declared.setdefault(_smt_name(s), _smt_sort(sort_of(s)))
+            declared.setdefault(_smt_name(s), _smt_sort(s.sort))
     lines = ["(set-logic QF_BV)"]
     for name in sorted(declared):
         lines.append(f"(declare-const {name} {declared[name]})")
     for c in conjuncts:
-        lines.append(f"(assert {_smt_formula(c)})")
+        lines.append(f"(assert {render(c, _smt_parts, _smt_leaf)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -1,14 +1,28 @@
 """Symbolic value terms produced by executing contract paths.
 
-Terms are immutable and compare structurally.  `tag` lets two runs of
-the same function coexist in one constraint system: renaming appends
-the tag to every atomic symbol, so `amount@1` and `amount@2` stay
-distinct while couplings tie them together where needed.
+Terms are immutable and compare structurally.  Numbers are Literals,
+atoms (FreeVar, CallerSym, ValueSym, CallSuccessSym, StorageSym) or an
+`Affine`, the one arithmetic form: a constant plus (atom, coefficient)
+pairs, sorted by the atom's repr and none 0, that `arith` builds once by
+merging its operands' pairs.  Formulas are `BinOp` comparisons between
+two numbers as written, `BinOp` && || and == != between bools, and
+`NotOp`.  A local reassigned over many statements nests formulas and
+mapping keys that deep, so no walk recurses: a node's hash is computed
+once from its children's, and equality, repr, str, `fold` and `render`
+keep an explicit stack.  A term keeps its hash, repr, atoms and renamed
+copies once asked for them, since paths forked from one state share
+their guards.
+
+`tag` lets two runs of the same function coexist in one constraint
+system: renaming appends the tag to every atomic symbol, so `amount@1`
+and `amount@2` stay distinct while couplings tie them together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import heapq
+import operator
+from dataclasses import dataclass, fields, replace
 
 UINT_MAX = 2**256 - 1
 ADDRESS_MAX = 2**160 - 1
@@ -32,12 +46,16 @@ def sort_of_type(type_name: str) -> str:
     return _TYPE_TO_SORT[type_name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SymValue:
-    pass
+    def __repr__(self):
+        # the dataclass repr, kept: it orders pairs and breaks search ties
+        if "_repr" not in self.__dict__:
+            object.__setattr__(self, "_repr", render(self, _repr_parts, repr))
+        return self._repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Literal(SymValue):
     value: int
     sort: str = "uint"
@@ -50,7 +68,7 @@ class Literal(SymValue):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FreeVar(SymValue):
     name: str
     sort: str = "uint"
@@ -60,7 +78,7 @@ class FreeVar(SymValue):
         return self.name + self.tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CallerSym(SymValue):
     tag: str = ""
     sort: str = "address"
@@ -69,7 +87,7 @@ class CallerSym(SymValue):
         return "msg.sender" + self.tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ValueSym(SymValue):
     tag: str = ""
     sort: str = "uint"
@@ -78,7 +96,7 @@ class ValueSym(SymValue):
         return "msg.value" + self.tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CallSuccessSym(SymValue):
     """Result of an unconstrained external call."""
 
@@ -90,8 +108,40 @@ class CallSuccessSym(SymValue):
         return f"call({self.site})" + self.tag
 
 
-@dataclass(frozen=True)
-class StorageSym(SymValue):
+class _Node(SymValue):
+    """A term with sub-terms (`_kids`) and data of its own (`_data`)."""
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:  # hash the kids first
+            fold(self, _store_hash, lambda x: [
+                k for k in _kids(x) if isinstance(k, _Node) and "_hash" not in k.__dict__])
+        return self._hash
+
+    def __eq__(self, other):
+        stack = [(self, other)]
+        seen: set[tuple[int, int]] = set()  # pairs of shared nodes are compared once
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or hash(a) != hash(b):
+                return False
+            if not isinstance(a, _Node):
+                if a != b:
+                    return False
+            elif a._data() != b._data():
+                return False
+            else:
+                stack += zip(a._kids(), b._kids())
+        return True
+
+    def __str__(self):
+        return render(self, lambda x: x._text() if isinstance(x, _Node) else None, str)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class StorageSym(_Node):
     """Contents of a storage slot before the path wrote to it."""
 
     var: str
@@ -100,27 +150,75 @@ class StorageSym(SymValue):
     sort: str = "uint"
     tag: str = ""
 
-    def __str__(self):
-        base = self.var if self.key is None else f"{self.var}[{self.key}]"
-        return f"{base}#v{self.version}{self.tag}"
+    def _kids(self):
+        return () if self.key is None else (self.key,)
+
+    def _data(self):
+        return self.var, self.key is None, self.version, self.sort, self.tag
+
+    def _text(self):
+        tail = f"#v{self.version}{self.tag}"
+        return [self.var + tail] if self.key is None else [self.var + "[", self.key, "]" + tail]
 
 
-@dataclass(frozen=True)
-class BinOp(SymValue):
-    op: str  # + - * == != < <= > >= && ||
+@dataclass(frozen=True, eq=False, repr=False)
+class Affine(_Node):
+    """const + sum(c * atom) over the integers; built by `arith`."""
+
+    terms: tuple[tuple[SymValue, int], ...]
+    const: int = 0
+    sort = "uint"
+
+    def _kids(self):
+        return tuple(s for s, _ in self.terms)
+
+    def _data(self):
+        return tuple(c for _, c in self.terms), self.const
+
+    def _text(self):
+        parts = []
+        for s, c in self.terms:
+            parts += [" - " if c < 0 else " + ", f"{abs(c)}*" if abs(c) != 1 else "", s]
+        if self.const or not self.terms:
+            parts += [" - " if self.const < 0 else " + ", str(abs(self.const))]
+        parts[0] = "-" if parts[0] == " - " else ""
+        return ["(", *parts, ")"]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
+    op: str  # == != < <= > >= && ||
     left: SymValue
     right: SymValue
+    sort = "bool"
 
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
+    def __post_init__(self):
+        if self.op not in CMP_OPS and self.op not in BOOL_OPS:
+            raise ValueError(f"not a comparison or connective: {self.op!r}")
+
+    def _kids(self):
+        return self.left, self.right
+
+    def _data(self):
+        return self.op
+
+    def _text(self):
+        return ["(", self.left, f" {self.op} ", self.right, ")"]
 
 
-@dataclass(frozen=True)
-class NotOp(SymValue):
+@dataclass(frozen=True, eq=False, repr=False)
+class NotOp(_Node):
     operand: SymValue
+    sort = "bool"
 
-    def __str__(self):
-        return f"!{self.operand}"
+    def _kids(self):
+        return (self.operand,)
+
+    def _data(self):
+        return ()
+
+    def _text(self):
+        return ["!", self.operand]
 
 
 ATOMIC = (FreeVar, CallerSym, ValueSym, CallSuccessSym, StorageSym)
@@ -130,48 +228,182 @@ ARITH_OPS = ("+", "-", "*")
 BOOL_OPS = ("&&", "||")
 
 
-def sort_of(v: SymValue) -> str:
-    if isinstance(v, (Literal, FreeVar, CallerSym, ValueSym,
-                      CallSuccessSym, StorageSym)):
-        return v.sort
-    if isinstance(v, BinOp):
-        if v.op in ARITH_OPS:
-            return "uint"
-        return "bool"
+def is_formula(v: SymValue) -> bool:
+    """A comparison or connective, as opposed to a bool atom or literal."""
+    return isinstance(v, (BinOp, NotOp))
+
+
+def linear(v: SymValue) -> tuple[tuple[tuple[SymValue, int], ...], int]:
+    """The (pairs, constant) of a Literal, an atom or an Affine: equal
+    numbers in any written order give equal results."""
+    if isinstance(v, Affine):
+        return v.terms, v.const
+    if isinstance(v, Literal):
+        return (), v.value
+    if isinstance(v, ATOMIC):
+        return ((v, 1),), 0
+    raise TypeError(f"not a number: {v}")
+
+
+def _pairs(pairs) -> tuple[tuple[SymValue, int], ...]:
+    pairs = [(s, c) for s, c in pairs if c]
+    if len(pairs) > 1:
+        pairs.sort(key=lambda p: repr(p[0]))
+    return tuple(pairs)
+
+
+def linear_sum(left: SymValue, right: SymValue, sign: int):
+    """linear(left + sign * right): the two sides' sorted pairs merged."""
+    (a, j), (b, k) = linear(left), linear(right)
+    if sign != 1:
+        b = tuple((s, sign * c) for s, c in b)
+    if not (a and b):
+        return a or b, j + sign * k
+    out: list[tuple[SymValue, int]] = []
+    for s, c in heapq.merge(a, b, key=lambda p: repr(p[0])):
+        if out and out[-1][0] == s:
+            out[-1] = (s, out[-1][1] + c)
+        else:
+            out.append((s, c))
+    return tuple(p for p in out if p[1]), j + sign * k
+
+
+def arith(op: str, left: SymValue, right: SymValue) -> Affine:
+    """`left op right` for op one of + - *; a product needs a constant
+    side, so every result is linear."""
+    if op in ("+", "-"):
+        return Affine(*linear_sum(left, right, 1 if op == "+" else -1))
+    if op != "*":
+        raise ValueError(f"not an arithmetic operator: {op!r}")
+    (a, j), (b, k) = linear(left), linear(right)
+    if a and b:
+        raise ValueError(f"non-linear product: {left} * {right}")
+    if a:
+        b, j, k = a, k, j  # scale the side with pairs by the constant one
+    return Affine(tuple((s, c * j) for s, c in b) if j else (), j * k)
+
+
+# ------------------------------------------------------- walks without recursion
+
+def _kids(v: SymValue) -> tuple:
+    return v._kids() if isinstance(v, _Node) else ()
+
+
+def _store_hash(v: _Node, _) -> None:
+    object.__setattr__(v, "_hash", hash((type(v).__name__, v._data(), *v._kids())))
+
+
+def connective_kids(v: SymValue) -> tuple:
+    """The operands of !, &&, || and of == / != between bools."""
     if isinstance(v, NotOp):
-        return "bool"
-    raise TypeError(type(v).__name__)
+        return (v.operand,)
+    if isinstance(v, BinOp) and (v.op in BOOL_OPS or v.left.sort == v.right.sort == "bool"):
+        return v.left, v.right
+    return ()
+
+
+def fold(v: SymValue, combine, kids=_kids):
+    """combine(node, results for its kids) for every distinct node of the
+    term, children first, on an explicit stack."""
+    top = kids(v)
+    if not top:
+        return combine(v, top)
+    if not any(map(kids, top)):  # a node over leaves
+        return combine(v, [combine(k, ()) for k in top])
+    done: dict[int, object] = {}
+    stack = [(v, top)]
+    while stack:
+        x, ks = stack[-1]
+        todo = [k for k in ks if id(k) not in done]
+        if todo:
+            stack += [(k, kids(k)) for k in todo]
+            continue
+        stack.pop()
+        if id(x) not in done:
+            done[id(x)] = combine(x, [done[id(k)] for k in ks])
+    return done[id(v)]
+
+
+def render(v, parts, leaf) -> str:
+    """Join the text of a term: parts(x) is None for a leaf, written as
+    leaf(x), or a list of strings and values to render in turn."""
+    out: list[str] = []
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        p = parts(x)
+        if p is None:
+            out.append(leaf(x))
+        else:
+            stack += reversed(p)
+    return "".join(out)
+
+
+def _repr_parts(x):
+    """The dataclass `repr` of a term, one level at a time."""
+    if isinstance(x, SymValue):
+        cached = x.__dict__.get("_repr")
+        if cached is not None:
+            return [cached]
+        p = [type(x).__qualname__ + "("]
+        for i, f in enumerate(fields(x)):
+            v = getattr(x, f.name)
+            p += [(", " if i else "") + f.name + "=", repr(v) if type(v) is str else v]
+        return p + [")"]
+    if type(x) is tuple:
+        p = ["("]
+        for i, item in enumerate(x):
+            p += [", " if i else "", item]
+        return p + [",)" if len(x) == 1 else ")"]
+    return None
 
 
 def rename(v: SymValue, tag: str) -> SymValue:
     """Append `tag` to every atomic symbol in the term."""
-    if isinstance(v, Literal):
-        return v
-    if isinstance(v, ATOMIC):
-        if isinstance(v, StorageSym) and v.key is not None:
-            return replace(v, tag=v.tag + tag, key=rename(v.key, tag))
-        return replace(v, tag=v.tag + tag)
-    if isinstance(v, BinOp):
-        return BinOp(v.op, rename(v.left, tag), rename(v.right, tag))
-    if isinstance(v, NotOp):
-        return NotOp(rename(v.operand, tag))
-    raise TypeError(type(v).__name__)
+    def renamed(x, kids):
+        if isinstance(x, Literal):
+            return x
+        if isinstance(x, StorageSym):
+            return replace(x, tag=x.tag + tag, key=kids[0] if kids else None)
+        if isinstance(x, ATOMIC):
+            return replace(x, tag=x.tag + tag)
+        if isinstance(x, Affine):
+            # the order is by repr, which the tag can change
+            return Affine(_pairs(zip(kids, (c for _, c in x.terms))), x.const)
+        if isinstance(x, NotOp):
+            return NotOp(*kids)
+        return BinOp(x.op, *kids)
+    name = "_renamed" + tag
+    if name not in v.__dict__:
+        object.__setattr__(v, name, fold(v, renamed))
+    return v.__dict__[name]
 
 
-def atoms(v: SymValue) -> set[SymValue]:
+def atoms(v: SymValue) -> frozenset[SymValue]:
     """Every atomic symbol in the term, including mapping keys."""
-    if isinstance(v, Literal):
-        return set()
-    if isinstance(v, ATOMIC):
-        out = {v}
-        if isinstance(v, StorageSym) and v.key is not None:
-            out |= atoms(v.key)
-        return out
-    if isinstance(v, BinOp):
-        return atoms(v.left) | atoms(v.right)
-    if isinstance(v, NotOp):
-        return atoms(v.operand)
-    raise TypeError(type(v).__name__)
+    if not isinstance(v, _Node):
+        return frozenset((v,)) if isinstance(v, ATOMIC) else frozenset()
+    if "_atoms" not in v.__dict__:
+        out: set[SymValue] = set()
+        seen: set[int] = set()  # nodes shared within the term are walked once
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if not isinstance(x, _Node):
+                if isinstance(x, ATOMIC):
+                    out.add(x)
+            elif "_atoms" in x.__dict__:
+                out |= x._atoms
+            elif id(x) not in seen:
+                seen.add(id(x))
+                if isinstance(x, StorageSym):
+                    out.add(x)
+                stack += x._kids()
+        object.__setattr__(v, "_atoms", frozenset(out))
+    return v._atoms
 
 
 def input_atoms(v: SymValue) -> set[SymValue]:
@@ -179,46 +411,32 @@ def input_atoms(v: SymValue) -> set[SymValue]:
     arguments, the sender address, the attached value.  Storage
     contents and call results are excluded, but symbols inside mapping
     keys count."""
-    found: set[SymValue] = set()
-    for a in atoms(v):
-        if isinstance(a, (FreeVar, CallerSym, ValueSym)):
-            found.add(a)
-    return found
+    return {a for a in atoms(v) if isinstance(a, (FreeVar, CallerSym, ValueSym))}
+
+
+_EVAL = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "&&": lambda a, b: bool(a) and bool(b),
+    "||": lambda a, b: bool(a) or bool(b),
+}
 
 
 def evaluate(v: SymValue, model: dict[SymValue, int]) -> int:
     """Concrete evaluation over the integers; bools are 0 or 1."""
-    if isinstance(v, Literal):
-        return v.value
-    if isinstance(v, ATOMIC):
-        if isinstance(v, StorageSym) and v.key is not None:
-            # the slot identity is fixed by the model lookup itself
-            return model.get(v, 0)
-        return model.get(v, 0)
-    if isinstance(v, NotOp):
-        return 0 if evaluate(v.operand, model) else 1
-    if isinstance(v, BinOp):
-        a, b = evaluate(v.left, model), evaluate(v.right, model)
-        if v.op == "+":
-            return a + b
-        if v.op == "-":
-            return a - b
-        if v.op == "*":
-            return a * b
-        if v.op == "==":
-            return int(a == b)
-        if v.op == "!=":
-            return int(a != b)
-        if v.op == "<":
-            return int(a < b)
-        if v.op == "<=":
-            return int(a <= b)
-        if v.op == ">":
-            return int(a > b)
-        if v.op == ">=":
-            return int(a >= b)
-        if v.op == "&&":
-            return int(bool(a) and bool(b))
-        if v.op == "||":
-            return int(bool(a) or bool(b))
-    raise TypeError(type(v).__name__)
+    def value(x, kids):
+        if isinstance(x, BinOp):
+            a, b = kids or (_number(x.left, model), _number(x.right, model))
+            return int(_EVAL[x.op](a, b))
+        if isinstance(x, NotOp):
+            return 0 if kids[0] else 1
+        return _number(x, model)
+    return fold(v, value, connective_kids)
+
+
+def _number(x: SymValue, model: dict[SymValue, int]) -> int:
+    if isinstance(x, Literal):
+        return x.value
+    if isinstance(x, Affine):
+        return x.const + sum(c * model.get(s, 0) for s, c in x.terms)
+    return model.get(x, 0)

@@ -94,11 +94,10 @@ class Project:
     def emitters_sorted(self) -> tuple[str, ...]:
         return tuple(sorted(self.authentic_emitters))
 
-    def rule_for(self, topic0: int) -> EventRule | None:
-        for rule in self.events:
-            if rule.topic0 == topic0:
-                return rule
-        return None
+    @cached_property
+    def rules_by_topic(self) -> dict[int, EventRule]:
+        """Each declared topic's rule; the first one wins."""
+        return {rule.topic0: rule for rule in reversed(self.events)}
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ class Scanner:
         for proj in self.ruleset.projects:
             if record.address not in proj.authentic_emitters:
                 continue
-            if topic0 is None or proj.rule_for(topic0) is None:
+            if topic0 not in proj.rules_by_topic:
                 out.append(
                     _finding(
                         record,
@@ -282,7 +282,7 @@ class Scanner:
             foreign: list[LogRecord] = []
             for rec in logs:
                 topic0 = rec.topic0
-                if topic0 is None or proj.rule_for(topic0) is None:
+                if topic0 not in proj.rules_by_topic:
                     continue
                 (authentic if rec.address in proj.authentic_emitters else foreign).append(rec)
             if authentic and foreign:
@@ -293,7 +293,7 @@ class Scanner:
                         kind="BLENDED_EVENT",
                         check=None,
                         project=proj.name,
-                        event=proj.rule_for(first.topic0).name,
+                        event=proj.rules_by_topic[first.topic0].name,
                         confidence=POTENTIAL,
                         detail={
                             "authentic_logs": [r.log_index for r in authentic],

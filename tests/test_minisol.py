@@ -1,5 +1,7 @@
 """Parsing, resolution, and printing of the restricted contract language."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -212,6 +214,33 @@ class TestResolution:
             minisol.load("contract C {\n  uint256 a;\n"
                          "  function f() external {\n    a = zz;\n  } }")
         assert exc.value.line == 4
+
+
+class TestTypes:
+    """As in Solidity, bool and non-bool values do not mix."""
+
+    @pytest.mark.parametrize("body,expected", [
+        ("require(x + (x > 1) > 3);", "a non-bool operand of '+'"),
+        ("require((x > 1) < 3);", "a non-bool operand of '<'"),
+        ("require((x > 1) == 5);", "a bool operand of '=='"),
+        ("require(x);", "a bool condition"),
+        ("require(!x);", "a bool operand of '!'"),
+        ("require(flag && x);", "a bool operand of '&&'"),
+        ("uint256 t = x > 1;", "a non-bool value for 't'"),
+        ("a = flag;", "a non-bool value for 'a'"),
+        ("flag = 1;", "a bool value for 'flag'"),
+    ])
+    def test_mixed_operands_are_rejected_with_their_line(self, body, expected):
+        src = ("contract C { uint256 a; bool flag;\n"
+               "function f(uint256 x) external {\n" + body + "\n} }")
+        with pytest.raises(SyntaxError, match=re.escape(expected)) as exc:
+            minisol.load(src)
+        assert exc.value.line == 3
+
+    def test_bool_equality_and_connectives_load(self):
+        minisol.load("contract C { bool flag;\n"
+                     "function f(uint256 x) external {\n"
+                     "require(flag == (x > 1) && !(flag != true) || x + 1 >= 2 * x);\n} }")
 
 
 class TestPrinting:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import phantomscan
@@ -249,31 +250,52 @@ def test_cli_internal_error_exits_3_naming_the_file(monkeypatch):
     assert res.stderr == f"error: {FIX['counterfeit.hex']}: internal error: KeyError: 'boom'\n"
 
 
-def test_cli_recursion_in_analysis_exits_3_without_traceback(tmp_path):
-    # one local reassigned 1000 times builds a term too deep for the
-    # recursive walks over symbolic values
-    steps = "\n".join("        t = t + 1;" for _ in range(1000))
-    path = tmp_path / "deep.msol"
-    path.write_text(
-        "contract Deep {\n"
-        "    event E(uint256 v);\n"
-        "    function f(uint256 x) external {\n"
-        "        uint256 t = x;\n"
-        f"{steps}\n"
-        "        require(t > 5);\n"
-        "        emit E(t);\n"
-        "    }\n"
-        "    function g(uint256 x) external {\n"
-        "        emit E(x);\n"
-        "    }\n"
-        "}\n"
-    )
+# a local reassigned once per statement: declaration, step, guard
+CHAINS = {
+    "sum": ("uint256 t = x;", "t = t + 1;", "require(t > 5);"),
+    "and": ("bool b = x > 1;", "b = b && x > 2;", "require(b);"),
+    "not": ("bool b = x > 1;", "b = !b;", "require(b);"),
+    "or-and": ("bool b = x > 1;", "b = (b || x > 3) && x > 2;", "require(b);"),
+    # each step uses the value twice: a tree of 2^steps leaves
+    "shared-or": ("bool b = x > 1;", "b = b || b;", "require(b);"),
+    "double": ("uint256 t = x;", "t = t + t;", "require(t > 5);"),
+}
+
+
+def _chain_source(shape: str, steps: int) -> str:
+    decl, step, guard = CHAINS[shape]
+    return "\n".join([
+        "contract Deep {",
+        "    event E(uint256 v);",
+        "    function f(uint256 x) external {",
+        f"        {decl}",
+        *[f"        {step}"] * steps,
+        f"        {guard}",
+        "        emit E(x);",
+        "    }",
+        "    function g(uint256 x) external {",
+        "        emit E(x);",
+        "    }",
+        "}",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("shape,steps", [(s, 1000) for s in CHAINS] + [("sum", 10_000)])
+def test_cli_long_reassignment_chain_reports_like_a_short_one(tmp_path, shape, steps):
+    # the local's value is built over every statement, which once made
+    # the walks over symbolic values exhaust the stack
     src = str(Path(phantomscan.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    res = subprocess.run([sys.executable, "-m", "phantomscan.cli", "analyze-source", str(path)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 3, res.stderr
-    assert res.stderr.startswith(f"error: {path}: internal error: RecursionError: ")
-    assert res.stderr.count("\n") == 1
-    assert "Traceback" not in res.stderr
+    runs = []
+    for n in (50, steps):
+        (tmp_path / str(n)).mkdir()
+        (tmp_path / str(n) / "deep.msol").write_text(_chain_source(shape, n))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "phantomscan.cli", "analyze-source", "--json", "deep.msol"],
+            capture_output=True, text=True, env=env, cwd=tmp_path / str(n), timeout=120))
+    short, long = runs
+    assert short.returncode == 1 and json.loads(short.stdout)["findings"], short.stderr
+    assert "Traceback" not in long.stderr
+    assert (long.returncode, long.stdout, long.stderr) == \
+        (short.returncode, short.stdout, short.stderr)

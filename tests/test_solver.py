@@ -3,6 +3,9 @@
 import itertools
 import random
 
+import pytest
+
+from phantomscan import minisol
 from phantomscan.symexec import SAT, UNKNOWN, UNSAT, export_smtlib, solve
 from phantomscan.symexec.values import (
     UINT_MAX,
@@ -12,6 +15,7 @@ from phantomscan.symexec.values import (
     FreeVar,
     Literal,
     NotOp,
+    arith,
     evaluate,
 )
 
@@ -45,8 +49,8 @@ class TestBasics:
     def test_linear_combination(self):
         # x + y == 10, x - y == 4  =>  x=7 y=3
         verdict, model = solve([
-            BinOp("==", BinOp("+", X, Y), lit(10)),
-            BinOp("==", BinOp("-", X, Y), lit(4)),
+            BinOp("==", arith("+", X, Y), lit(10)),
+            BinOp("==", arith("-", X, Y), lit(4)),
             BinOp("<=", X, lit(100)),
             BinOp("<=", Y, lit(100)),
         ])
@@ -55,14 +59,14 @@ class TestBasics:
 
     def test_multiplication_by_literal(self):
         verdict, model = solve([
-            BinOp("==", BinOp("*", lit(3), X), lit(12)),
+            BinOp("==", arith("*", lit(3), X), lit(12)),
             BinOp("<=", X, lit(50)),
         ])
         assert verdict == SAT and model[X] == 4
 
     def test_no_solution_under_scaling(self):
         verdict, _ = solve([
-            BinOp("==", BinOp("*", lit(3), X), lit(13)),
+            BinOp("==", arith("*", lit(3), X), lit(13)),
             BinOp("<=", X, lit(50)),
         ])
         assert verdict == UNSAT
@@ -102,16 +106,20 @@ class TestHonestUnknown:
         verdict, model = solve([either])
         assert verdict == SAT and model[X] == 2
 
-    def test_nonlinear_product(self):
-        verdict, _ = solve([BinOp("==", BinOp("*", X, Y), lit(6))])
-        assert verdict == UNKNOWN
+    def test_nonlinear_product_cannot_be_built(self):
+        with pytest.raises(ValueError, match="non-linear"):
+            arith("*", X, Y)
+        with pytest.raises(minisol.ResolutionError, match="literal operand"):
+            minisol.load("contract C { event E(uint256 v);\n"
+                         "function f(uint256 x, uint256 y) external {\n"
+                         "require(x * y == 6); emit E(x); } }")
 
     def test_budget_exhaustion_on_disequality_over_huge_domain(self):
         # x <= huge and x != x+0 style pairs are caught syntactically;
         # force the search instead: two disequalities over the full range
         verdict, _ = solve([
             BinOp("!=", X, Y),
-            BinOp("!=", BinOp("+", X, lit(1)), Y),
+            BinOp("!=", arith("+", X, lit(1)), Y),
             BinOp(">=", Y, lit(UINT_MAX // 2)),
         ], node_budget=64)
         assert verdict in (SAT, UNKNOWN)  # never a false UNSAT
@@ -145,10 +153,10 @@ def _rand_term(rng, vs):
     if kind == 1:
         return lit(rng.randint(0, 15))
     if kind == 2:
-        return BinOp("+", rng.choice(vs), rng.choice(vs))
+        return arith("+", rng.choice(vs), rng.choice(vs))
     if kind == 3:
-        return BinOp("-", rng.choice(vs), lit(rng.randint(0, 5)))
-    return BinOp("*", lit(rng.randint(0, 3)), rng.choice(vs))
+        return arith("-", rng.choice(vs), lit(rng.randint(0, 5)))
+    return arith("*", lit(rng.randint(0, 3)), rng.choice(vs))
 
 
 class TestAgainstBruteForce:

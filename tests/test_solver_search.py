@@ -11,7 +11,7 @@ from pathlib import Path
 import phantomscan
 from phantomscan.minisol import load
 from phantomscan.symexec import SAT, UNSAT, analyze_source, solve, solver
-from phantomscan.symexec.values import UINT_MAX, BinOp, FreeVar, Literal
+from phantomscan.symexec.values import UINT_MAX, BinOp, FreeVar, Literal, arith
 
 from reference_search import reference_search
 
@@ -106,8 +106,8 @@ class TestCycles:
         assert took < 0.2
 
     def test_equality_cycle_with_offsets(self):
-        verdict, _, took = self._timed([BinOp("==", X, BinOp("+", Y, lit(1))),
-                                        BinOp("==", Y, BinOp("+", X, lit(1)))])
+        verdict, _, took = self._timed([BinOp("==", X, arith("+", Y, lit(1))),
+                                        BinOp("==", Y, arith("+", X, lit(1)))])
         assert verdict == UNSAT
         assert took < 0.2
 
@@ -115,9 +115,9 @@ class TestCycles:
         # x is fixed to 8, which turns z == y + x into a difference atom
         verdict, _, took = self._timed([
             BinOp("<=", X, Z),
-            BinOp("==", BinOp("+", Y, lit(8)), BinOp("+", X, Y)),
-            BinOp("==", Z, BinOp("+", Y, X)),
-            BinOp(">", BinOp("+", Y, lit(8)), BinOp("+", Z, lit(14))),
+            BinOp("==", arith("+", Y, lit(8)), arith("+", X, Y)),
+            BinOp("==", Z, arith("+", Y, X)),
+            BinOp(">", arith("+", Y, lit(8)), arith("+", Z, lit(14))),
         ])
         assert verdict == UNSAT
         assert took < 0.2
@@ -132,7 +132,7 @@ class TestDisequalities:
         # the first child fixes x to 0; without deciding x != 0 there,
         # the search spent its whole budget under it and said UNKNOWN
         verdict, model = solve([BinOp("!=", lit(0), X),
-                                BinOp(">", BinOp("+", Y, X), Z)])
+                                BinOp(">", arith("+", Y, X), Z)])
         assert verdict == SAT
         assert model[X] != 0 and model[Y] + model[X] > model[Z]
 
@@ -155,12 +155,12 @@ def _term(rng, vs):
     if kind == 1:
         return lit(_const(rng))
     if kind == 2:
-        return BinOp("+", rng.choice(vs), rng.choice(vs))
+        return arith("+", rng.choice(vs), rng.choice(vs))
     if kind == 3:
-        return BinOp("-", rng.choice(vs), lit(_const(rng)))
+        return arith("-", rng.choice(vs), lit(_const(rng)))
     if kind == 4:
-        return BinOp("+", rng.choice(vs), lit(_const(rng)))
-    return BinOp("*", lit(rng.randint(0, 3)), rng.choice(vs))
+        return arith("+", rng.choice(vs), lit(_const(rng)))
+    return arith("*", lit(rng.randint(0, 3)), rng.choice(vs))
 
 
 class TestAgainstRecursiveSearch:

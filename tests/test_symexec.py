@@ -70,8 +70,24 @@ class TestPathEnumeration:
         p = search_paths(c, "requestWithdraw").paths[0]
         read = p.conjuncts[0].left
         assert isinstance(read, StorageSym) and read.version == 0
-        # the write value reuses the identical read symbol
-        assert p.writes[0].value.left is read or p.writes[0].value.left == read
+        # the write value, balance - amount, reuses the identical read symbol
+        assert any(s is read for s, _ in p.writes[0].value.terms)
+
+    def test_equal_mapping_keys_share_a_slot(self):
+        c = load_src("""
+            contract C { event E(uint256 x); mapping(uint256 => uint256) m;
+            function f(uint256 x) external {
+                require(m[2 * x - x] > 0);
+                m[x + 1] = 5;
+                m[x] = m[x] + 1;
+                emit E(m[1 + x]);
+            } }""")
+        p = search_paths(c, "f").paths[0]
+        assert p.emits[0].args[0] == Literal(value=5)
+        read = p.conjuncts[0].left
+        # m[2 * x - x] and m[x] are one slot: the read is memoized
+        assert isinstance(read, StorageSym) and str(read) == "m[(x)]#v0"
+        assert p.writes[1].value.terms == ((read, 1),)
 
     def test_call_result_is_fresh_bool(self):
         c = load_fixture("counterfeit")

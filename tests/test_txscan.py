@@ -523,3 +523,10 @@ def test_decode_event_against_rule_params():
     }
     with pytest.raises(DecodeError, match="topics"):
         decode_event(redeem.params, record.topics + (t_uint(1),), record.data)
+
+
+def test_project_rule_lookup_keeps_the_first_rule_of_a_topic():
+    from phantomscan.txscan.rules import EventRule, Project
+    first, second, other = EventRule("A", (), 7), EventRule("B", (), 7), EventRule("C", (), 9)
+    proj = Project("p", frozenset(), (first, second, other))
+    assert proj.rules_by_topic == {7: first, 9: other}
