@@ -37,8 +37,8 @@ from .values import (
     atoms,
     connective_kids,
     evaluate,
-    is_formula,
     linear_sum,
+    order_key,
     render,
 )
 
@@ -87,9 +87,11 @@ _TO_ATOM = {
 }
 
 
-def _normalize(conjunct: SymValue, out: list[_Atom]) -> None:
+def _normalize(conjunct: SymValue, out: list[_Atom], seen: set[tuple[int, bool]]) -> None:
     """Append the atoms of one conjunct.  Negations are pushed down and
-    conjunctions split on an explicit stack of (formula, polarity)."""
+    conjunctions split on an explicit stack of (formula, polarity); a
+    conjunction already in `seen` adds nothing, so one whose parts are
+    shared is split once per part, not once per path to it."""
     stack = [(conjunct, True)]
     while stack:
         v, positive = stack.pop()
@@ -103,9 +105,10 @@ def _normalize(conjunct: SymValue, out: list[_Atom]) -> None:
         elif not isinstance(v, BinOp):
             raise TypeError(f"not a formula: {v}")
         elif v.op in BOOL_OPS and (v.op == "&&") == positive:
-            stack += ((v.right, positive), (v.left, positive))
-        elif v.op in BOOL_OPS or v.op in ("==", "!=") and (is_formula(v.left) or
-                                                           is_formula(v.right)):
+            if (id(v), positive) not in seen:
+                seen.add((id(v), positive))
+                stack += ((v.right, positive), (v.left, positive))
+        elif connective_kids(v):
             # a genuine disjunction, or a bool == / != (one in disguise):
             # give up rather than approximate, unless one side folds to
             # a constant
@@ -274,7 +277,7 @@ def _search(atoms_: list[_Atom], bounds: dict[SymValue, tuple[int, int]],
                 return model
             continue
 
-        width, sym = min(open_syms, key=lambda p: (p[0], repr(p[1])))
+        width, sym = min(open_syms, key=lambda p: (p[0], order_key(p[1])))
         lo, hi = bounds[sym]
         if width + 1 <= ENUM_LIMIT:
             pieces = [(v, v) for v in range(lo, hi + 1)]
@@ -307,9 +310,10 @@ def solve(conjuncts: list[SymValue],
           node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[str, dict | None]:
     """Decide a conjunction.  Returns (verdict, model|None)."""
     atoms_: list[_Atom] = []
+    seen: set[tuple[int, bool]] = set()
     try:
         for c in conjuncts:
-            _normalize(c, atoms_)
+            _normalize(c, atoms_, seen)
     except _Contradiction:
         return UNSAT, None
     except _Disjunction:
@@ -375,6 +379,8 @@ _SMT_CMP = {"<": "bvult", "<=": "bvule", ">": "bvugt", ">=": "bvuge"}
 def _smt_term(v: SymValue, width: int) -> str:
     """Render a number at the requested bit width: an Affine as the sum
     of its positive parts, from which the negative ones are subtracted."""
+    if v.sort == "bool":
+        return _smt_leaf(v)
     if isinstance(v, Literal):
         return f"(_ bv{v.value} {width})"
     if isinstance(v, Affine):

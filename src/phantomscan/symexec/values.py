@@ -3,13 +3,15 @@
 Terms are immutable and compare structurally.  Numbers are Literals,
 atoms (FreeVar, CallerSym, ValueSym, CallSuccessSym, StorageSym) or an
 `Affine`, the one arithmetic form: a constant plus (atom, coefficient)
-pairs, sorted by the atom's repr and none 0, that `arith` builds once by
+pairs, sorted by `order_key` and none 0, that `arith` builds once by
 merging its operands' pairs.  Formulas are `BinOp` comparisons between
 two numbers as written, `BinOp` && || and == != between bools, and
 `NotOp`.  A local reassigned over many statements nests formulas and
-mapping keys that deep, so no walk recurses: a node's hash is computed
-once from its children's, and equality, repr, str, `fold` and `render`
-keep an explicit stack.  A term keeps its hash, repr, atoms and renamed
+mapping keys that deep, and one that uses its own value twice shares
+sub-terms, so no walk recurses and none goes twice through a shared
+node.  A node keeps its digest, computed once from its children's,
+which decides its hash and equality; `order_key` orders atoms by repr,
+cut to a bounded length.  A term keeps its order key, atoms and renamed
 copies once asked for them, since paths forked from one state share
 their guards.
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, fields, replace
+from hashlib import blake2b
+from math import inf
 
 UINT_MAX = 2**256 - 1
 ADDRESS_MAX = 2**160 - 1
@@ -46,16 +50,12 @@ def sort_of_type(type_name: str) -> str:
     return _TYPE_TO_SORT[type_name]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SymValue:
-    def __repr__(self):
-        # the dataclass repr, kept: it orders pairs and breaks search ties
-        if "_repr" not in self.__dict__:
-            object.__setattr__(self, "_repr", render(self, _repr_parts, repr))
-        return self._repr
+    pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Literal(SymValue):
     value: int
     sort: str = "uint"
@@ -68,7 +68,7 @@ class Literal(SymValue):
         return str(self.value)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class FreeVar(SymValue):
     name: str
     sort: str = "uint"
@@ -78,7 +78,7 @@ class FreeVar(SymValue):
         return self.name + self.tag
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class CallerSym(SymValue):
     tag: str = ""
     sort: str = "address"
@@ -87,7 +87,7 @@ class CallerSym(SymValue):
         return "msg.sender" + self.tag
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ValueSym(SymValue):
     tag: str = ""
     sort: str = "uint"
@@ -96,7 +96,7 @@ class ValueSym(SymValue):
         return "msg.value" + self.tag
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class CallSuccessSym(SymValue):
     """Result of an unconstrained external call."""
 
@@ -112,29 +112,13 @@ class _Node(SymValue):
     """A term with sub-terms (`_kids`) and data of its own (`_data`)."""
 
     def __hash__(self):
-        if "_hash" not in self.__dict__:  # hash the kids first
-            fold(self, _store_hash, lambda x: [
-                k for k in _kids(x) if isinstance(k, _Node) and "_hash" not in k.__dict__])
-        return self._hash
+        return hash(digest(self))
 
     def __eq__(self, other):
-        stack = [(self, other)]
-        seen: set[tuple[int, int]] = set()  # pairs of shared nodes are compared once
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if type(a) is not type(b) or hash(a) != hash(b):
-                return False
-            if not isinstance(a, _Node):
-                if a != b:
-                    return False
-            elif a._data() != b._data():
-                return False
-            else:
-                stack += zip(a._kids(), b._kids())
-        return True
+        return self is other or type(other) is type(self) and digest(self) == digest(other)
+
+    def __repr__(self):
+        return render(self, _repr_parts, repr)
 
     def __str__(self):
         return render(self, lambda x: x._text() if isinstance(x, _Node) else None, str)
@@ -248,7 +232,7 @@ def linear(v: SymValue) -> tuple[tuple[tuple[SymValue, int], ...], int]:
 def _pairs(pairs) -> tuple[tuple[SymValue, int], ...]:
     pairs = [(s, c) for s, c in pairs if c]
     if len(pairs) > 1:
-        pairs.sort(key=lambda p: repr(p[0]))
+        pairs.sort(key=lambda p: order_key(p[0]))
     return tuple(pairs)
 
 
@@ -260,7 +244,7 @@ def linear_sum(left: SymValue, right: SymValue, sign: int):
     if not (a and b):
         return a or b, j + sign * k
     out: list[tuple[SymValue, int]] = []
-    for s, c in heapq.merge(a, b, key=lambda p: repr(p[0])):
+    for s, c in heapq.merge(a, b, key=lambda p: order_key(p[0])):
         if out and out[-1][0] == s:
             out[-1] = (s, out[-1][1] + c)
         else:
@@ -289,17 +273,46 @@ def _kids(v: SymValue) -> tuple:
     return v._kids() if isinstance(v, _Node) else ()
 
 
-def _store_hash(v: _Node, _) -> None:
-    object.__setattr__(v, "_hash", hash((type(v).__name__, v._data(), *v._kids())))
+def digest(v: SymValue) -> bytes:
+    """Equal terms, and only they (bar a 128-bit collision), have equal
+    digests; a node's is hashed from its data and its kids' digests."""
+    if not isinstance(v, _Node):
+        return repr(v).encode()
+    if "_digest" not in v.__dict__:  # the kids first
+        fold(v, _store_digest, lambda x: [
+            k for k in _kids(x) if isinstance(k, _Node) and "_digest" not in k.__dict__])
+    return v._digest
+
+
+def _store_digest(v: _Node, _) -> None:
+    text = repr((type(v).__name__, v._data(), *map(digest, v._kids())))
+    object.__setattr__(v, "_digest", blake2b(text.encode(), digest_size=16).digest())
+
+
+_ORDER_TEXT = 1024
+
+
+def order_key(v: SymValue) -> tuple[str, bytes]:
+    """The key that orders atoms: the repr.  A key that reuses a sub-term
+    writes it out each time, so the repr is cut after _ORDER_TEXT
+    characters, and two cut reprs are ordered by digest."""
+    key = v.__dict__.get("_order")
+    if key is None:
+        text = render(v, _repr_parts, repr, _ORDER_TEXT)[:_ORDER_TEXT]
+        key = text, digest(v) if len(text) == _ORDER_TEXT else b""
+        object.__setattr__(v, "_order", key)
+    return key
 
 
 def connective_kids(v: SymValue) -> tuple:
-    """The operands of !, &&, || and of == / != between bools."""
-    if isinstance(v, NotOp):
-        return (v.operand,)
-    if isinstance(v, BinOp) and (v.op in BOOL_OPS or v.left.sort == v.right.sort == "bool"):
-        return v.left, v.right
-    return ()
+    """The operands of !, &&, || and of == / != with a formula side.  A
+    == / != between bool atoms and literals compares them as 0/1
+    numbers."""
+    if isinstance(v, BinOp):
+        if v.op in BOOL_OPS or is_formula(v.left) or is_formula(v.right):
+            return v.left, v.right
+        return ()
+    return (v.operand,) if isinstance(v, NotOp) else ()
 
 
 def fold(v: SymValue, combine, kids=_kids):
@@ -324,30 +337,29 @@ def fold(v: SymValue, combine, kids=_kids):
     return done[id(v)]
 
 
-def render(v, parts, leaf) -> str:
+def render(v, parts, leaf, limit=inf) -> str:
     """Join the text of a term: parts(x) is None for a leaf, written as
-    leaf(x), or a list of strings and values to render in turn."""
+    leaf(x), or a list of strings and values to render in turn.  Stops
+    once the text has `limit` characters."""
     out: list[str] = []
+    size = 0
     stack = [v]
-    while stack:
+    while stack and size < limit:
         x = stack.pop()
-        if type(x) is str:
-            out.append(x)
-            continue
-        p = parts(x)
-        if p is None:
-            out.append(leaf(x))
-        else:
-            stack += reversed(p)
+        if type(x) is not str:
+            p = parts(x)
+            if p is not None:
+                stack += reversed(p)
+                continue
+            x = leaf(x)
+        out.append(x)
+        size += len(x)
     return "".join(out)
 
 
 def _repr_parts(x):
-    """The dataclass `repr` of a term, one level at a time."""
-    if isinstance(x, SymValue):
-        cached = x.__dict__.get("_repr")
-        if cached is not None:
-            return [cached]
+    """The dataclass `repr` of a node, one level at a time."""
+    if isinstance(x, _Node):
         p = [type(x).__qualname__ + "("]
         for i, f in enumerate(fields(x)):
             v = getattr(x, f.name)
@@ -371,7 +383,7 @@ def rename(v: SymValue, tag: str) -> SymValue:
         if isinstance(x, ATOMIC):
             return replace(x, tag=x.tag + tag)
         if isinstance(x, Affine):
-            # the order is by repr, which the tag can change
+            # the tag can change the order
             return Affine(_pairs(zip(kids, (c for _, c in x.terms))), x.const)
         if isinstance(x, NotOp):
             return NotOp(*kids)
@@ -384,25 +396,19 @@ def rename(v: SymValue, tag: str) -> SymValue:
 
 def atoms(v: SymValue) -> frozenset[SymValue]:
     """Every atomic symbol in the term, including mapping keys."""
-    if not isinstance(v, _Node):
-        return frozenset((v,)) if isinstance(v, ATOMIC) else frozenset()
-    if "_atoms" not in v.__dict__:
-        out: set[SymValue] = set()
-        seen: set[int] = set()  # nodes shared within the term are walked once
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if not isinstance(x, _Node):
-                if isinstance(x, ATOMIC):
-                    out.add(x)
-            elif "_atoms" in x.__dict__:
-                out |= x._atoms
-            elif id(x) not in seen:
-                seen.add(id(x))
-                if isinstance(x, StorageSym):
-                    out.add(x)
-                stack += x._kids()
-        object.__setattr__(v, "_atoms", frozenset(out))
+    if "_atoms" in v.__dict__:
+        return v._atoms
+    out: set[SymValue] = set()
+    seen: set[int] = set()  # nodes shared within the term are walked once
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, ATOMIC):
+            out.add(x)
+        if isinstance(x, _Node) and id(x) not in seen:
+            seen.add(id(x))
+            stack += x._kids()
+    object.__setattr__(v, "_atoms", frozenset(out))
     return v._atoms
 
 

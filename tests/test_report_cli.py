@@ -258,20 +258,24 @@ CHAINS = {
     "or-and": ("bool b = x > 1;", "b = (b || x > 3) && x > 2;", "require(b);"),
     # each step uses the value twice: a tree of 2^steps leaves
     "shared-or": ("bool b = x > 1;", "b = b || b;", "require(b);"),
+    "shared-and": ("bool b = x > 1;", "b = b && b;", "require(b);"),
+    "shared-or-negated": ("bool b = x > 1;", "b = b || b;", "require(!b);"),
+    "shared-key": ("bool b = x > 1;", "b = b || b;", "require(m[b] > 3);"),
     "double": ("uint256 t = x;", "t = t + t;", "require(t > 5);"),
 }
 
 
-def _chain_source(shape: str, steps: int) -> str:
+def _chain_source(shape: str, steps: int, emitted: str = "x") -> str:
     decl, step, guard = CHAINS[shape]
     return "\n".join([
         "contract Deep {",
         "    event E(uint256 v);",
+        "    mapping(bool => uint256) m;",
         "    function f(uint256 x) external {",
         f"        {decl}",
         *[f"        {step}"] * steps,
         f"        {guard}",
-        "        emit E(x);",
+        f"        emit E({emitted});",
         "    }",
         "    function g(uint256 x) external {",
         "        emit E(x);",
@@ -280,22 +284,42 @@ def _chain_source(shape: str, steps: int) -> str:
     ]) + "\n"
 
 
-@pytest.mark.parametrize("shape,steps", [(s, 1000) for s in CHAINS] + [("sum", 10_000)])
-def test_cli_long_reassignment_chain_reports_like_a_short_one(tmp_path, shape, steps):
-    # the local's value is built over every statement, which once made
-    # the walks over symbolic values exhaust the stack
+def _analyze_source_cli(workdir: Path, text: str) -> subprocess.CompletedProcess:
     src = str(Path(phantomscan.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    runs = []
-    for n in (50, steps):
-        (tmp_path / str(n)).mkdir()
-        (tmp_path / str(n) / "deep.msol").write_text(_chain_source(shape, n))
-        runs.append(subprocess.run(
-            [sys.executable, "-m", "phantomscan.cli", "analyze-source", "--json", "deep.msol"],
-            capture_output=True, text=True, env=env, cwd=tmp_path / str(n), timeout=120))
-    short, long = runs
+    workdir.mkdir()
+    (workdir / "deep.msol").write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "phantomscan.cli", "analyze-source", "--json", "deep.msol"],
+        capture_output=True, text=True, env=env, cwd=workdir, timeout=120)
+
+
+@pytest.mark.parametrize("shape,steps", [(s, 1000) for s in CHAINS] + [("sum", 10_000)])
+def test_cli_long_reassignment_chain_reports_like_a_short_one(tmp_path, shape, steps):
+    # the local's value is built over every statement, which once made
+    # the walks over symbolic values exhaust the stack; a value used
+    # twice per step is a tree of 2^steps leaves unless shared parts
+    # are walked once
+    short, long = (_analyze_source_cli(tmp_path / str(n), _chain_source(shape, n))
+                   for n in (50, steps))
     assert short.returncode == 1 and json.loads(short.stdout)["findings"], short.stderr
     assert "Traceback" not in long.stderr
     assert (long.returncode, long.stdout, long.stderr) == \
         (short.returncode, short.stdout, short.stderr)
+
+
+@pytest.mark.parametrize("shape,steps,kinds", [
+    ("sum", 1000, ["EVENT_COUNTERFEITING", "INCONSISTENT_LOGGING"]),
+    ("sum", 10_000, ["EVENT_COUNTERFEITING", "INCONSISTENT_LOGGING"]),
+    # 2^1000 * x > 5 forces x > 0, so f's payload exceeds every uint256
+    # that g can emit: no counterfeit pair
+    ("double", 1000, ["INCONSISTENT_LOGGING"]),
+])
+def test_cli_long_chain_value_is_emitted(tmp_path, shape, steps, kinds):
+    # the chained value itself is the payload: it is coupled with g's and
+    # evaluated for the witness
+    run = _analyze_source_cli(tmp_path / "run", _chain_source(shape, steps, emitted="t"))
+    assert "Traceback" not in run.stderr and run.stderr == ""
+    assert run.returncode == 1
+    assert sorted(f["kind"] for f in json.loads(run.stdout)["findings"]) == kinds

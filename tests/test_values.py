@@ -9,7 +9,7 @@ import pytest
 
 from phantomscan import minisol
 from phantomscan.minisol import ast
-from phantomscan.symexec import SAT, UNKNOWN, export_smtlib, solve
+from phantomscan.symexec import SAT, UNKNOWN, UNSAT, export_smtlib, solve
 from phantomscan.symexec.engine import _Executor, _State
 from phantomscan.symexec.values import (
     Affine,
@@ -21,6 +21,7 @@ from phantomscan.symexec.values import (
     arith,
     atoms,
     evaluate,
+    order_key,
     rename,
 )
 
@@ -123,6 +124,15 @@ class TestBoolEquality:
         verdict, _ = solve([BinOp("==", BinOp(">", X, Literal(2)), BinOp("<", Y, Literal(3)))])
         assert verdict == UNKNOWN
 
+    def test_bool_atoms_compare_as_numbers(self):
+        # two bool atoms, as when two entries emit a bool argument: 0/1
+        # numbers, decided without a split
+        a, b = FreeVar(name="a", sort="bool"), FreeVar(name="b", sort="bool")
+        verdict, model = solve([BinOp("==", a, b), BinOp("!=", a, Literal(0, "bool"))])
+        assert verdict == SAT and model[a] == model[b] == 1
+        assert solve([BinOp("!=", a, b), BinOp("==", a, b)])[0] == UNSAT
+        assert "(assert (not (= |a| |b|)))" in export_smtlib([BinOp("!=", a, b)])
+
 
 class TestDeepTerms:
     """Formulas and mapping keys as deep as a 10,000-statement chain."""
@@ -151,6 +161,29 @@ class TestDeepTerms:
         assert atoms(renamed) == {rename(X, "@1")}
         assert evaluate(shared, {X: 2}) == 1 and evaluate(shared, {X: 1}) == 0
         assert solve([shared])[0] == UNKNOWN
+        # !(A || A) and A && A split into one atom, not 2^200
+        verdict, model = solve([NotOp(shared)])
+        assert verdict == SAT and model[X] == 0
+        both = BinOp(">", X, Literal(1))
+        for _ in range(200):
+            both = BinOp("&&", both, both)
+        verdict, model = solve([both, BinOp("<", X, Literal(3))])
+        assert verdict == SAT and model[X] == 2
+
+    def test_mapping_keys_with_shared_subterms(self):
+        shared = BinOp(">", X, Literal(1))
+        for _ in range(200):
+            shared = BinOp("||", shared, shared)
+        m, n = (StorageSym(var=v, key=shared, version=0, sort="uint") for v in "mn")
+        # the order key is the repr, cut short, with the digest behind it
+        text, digest = order_key(m)
+        assert text.startswith("StorageSym(var='m', key=BinOp(op='||', left=BinOp(op='||'")
+        assert len(text) == 1024 and len(digest) == 16 and order_key(m) < order_key(n)
+        assert arith("+", n, m).terms == ((m, 1), (n, 1))
+        again = StorageSym(var="m", key=rename(shared, ""), version=0, sort="uint")
+        assert again == m and order_key(again) == order_key(m)
+        verdict, model = solve([BinOp(">", arith("-", m, n), Literal(3))])
+        assert verdict == SAT and model[m] == 4 and model[n] == 0
 
     def test_nested_mapping_keys(self):
         key = X
