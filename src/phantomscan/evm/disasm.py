@@ -43,10 +43,6 @@ class Instruction:
         width = self.opcode - 0x5F
         return int.from_bytes(self.operand.ljust(width, b"\x00"), "big")
 
-    @property
-    def is_push(self) -> bool:
-        return self.mnemonic == "PUSH0" or self.operand is not None
-
     def __str__(self) -> str:
         if self.operand is not None:
             return f"{self.offset:#06x}: {self.mnemonic} 0x{self.operand.hex()}"

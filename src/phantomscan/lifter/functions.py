@@ -21,7 +21,6 @@ from ..evm.disasm import Bytecode
 from .blocks import BasicBlock, build_blocks, fold_constants, resolve_jumps
 from .tac import LiftedBlock, _VarSource, lift_block
 
-_DISPATCH_WALK_LIMIT = 64
 _CALLEE_SCAN_LIMIT = 32
 
 
@@ -226,9 +225,7 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
         return branches
     seen: set[int] = set()
     current = 0
-    for _ in range(_DISPATCH_WALK_LIMIT):
-        if current in seen or current not in blocks:
-            break
+    while current in blocks and current not in seen:
         seen.add(current)
         block = blocks[current]
         sel = _match_selector_branch(block)

@@ -1,8 +1,10 @@
 """Backward taint analysis from LOG sites over the lifted ICFG.
 
 For every LOG instruction the engine enumerates acyclic reverse paths
-to function entries, tracks which logged values derive from transaction
-input (calldata, caller, call value), and flags two situations:
+to function entries, depth-first on an explicit stack with no depth
+limit (its one budget is the path count, and hitting it marks findings
+INCOMPLETE), tracks which logged values derive from transaction input
+(calldata, caller, call value), and flags two situations:
 
 * a logged value flows straight from input to the log with no
   taint-related storage write on the way (the contract records nothing
@@ -17,10 +19,10 @@ CALLVALUE, ORIGIN, ADDRESS) denote one value however many times the
 code performs them.  Everything else keeps per-definition identity.
 
 Memory is modelled only where LOG and KECCAK-style consumers need it:
-constant-offset MSTOREs are matched per 32-byte word within the block
-chain leading to the consumer; anything else becomes an opaque region
-variable fed by every store in scope, which keeps the analysis
-conservative instead of silently dropping dataflow.
+constant-offset MSTOREs are matched per 32-byte word within the whole
+unique-predecessor block chain leading to the consumer; anything else
+becomes an opaque region variable fed by every store in scope, which
+keeps the analysis conservative instead of silently dropping dataflow.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .lifter.tac import TacInstruction
 DYNAMIC_SIGNATURE = "DYNAMIC_SIGNATURE"
 
 DEFAULT_MAX_PATHS = 256
-DEFAULT_MAX_DEPTH = 64
-_MEM_CHAIN_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class LogOp:
     topic_vars: tuple[str, ...]  # topics beyond the signature topic
     data_vars: tuple[str, ...]
     synthetic: tuple[TacInstruction, ...] = ()
-
-    @property
-    def is_dynamic(self) -> bool:
-        return self.topic0 is None
 
     @property
     def seed_vars(self) -> tuple[str, ...]:
@@ -77,10 +73,6 @@ class PathSlice:
             if t.op == "SEGMENT":
                 trace.append((t.defs[0], t.pc))
         return tuple(trace)
-
-
-class PathBudgetExceeded(Exception):
-    pass
 
 
 @dataclass
@@ -207,15 +199,12 @@ def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
 
 def _block_chain(icfg: Icfg, fn_name: str, block: int) -> list[int]:
     """The block plus its unique-predecessor chain (nearest first)."""
-    fn = icfg.functions[fn_name]
+    pred = icfg.functions[fn_name].pred
     chain = [block]
-    current = block
-    for _ in range(_MEM_CHAIN_DEPTH):
-        preds = fn.pred.get(current, [])
-        if len(preds) != 1:
-            break
-        current = preds[0]
-        chain.append(current)
+    seen = {block}
+    while len(pred.get(chain[-1], [])) == 1 and pred[chain[-1]][0] not in seen:
+        chain.append(pred[chain[-1]][0])
+        seen.add(chain[-1])
     return chain
 
 
@@ -248,20 +237,23 @@ def backward_slice(
     icfg: Icfg,
     logop: LogOp,
     max_paths: int = DEFAULT_MAX_PATHS,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[list[PathSlice], bool]:
     """All acyclic reverse paths from the log site to function entries.
 
     Returns (paths, budget_exceeded).  Each directed edge is crossed at
-    most once per path, which bounds loop bodies to a single unrolling.
+    most once per path, which bounds loop bodies to a single unrolling
+    and a path's length to the number of edges, so there is no depth
+    limit.  The walk is depth-first on an explicit stack and tries
+    predecessors, then return edges, then call edges; a path ends at an
+    entry only after every longer path through that entry is done.
+
+    Paths share their common part through (segment, rest) links and are
+    flattened once, at the entry.  The edges in use and the entry-stack
+    slots still to bridge are one set and one dict for the whole walk,
+    restored from an undo trail on backtracking.
     """
-    fn = icfg.functions[logop.function]
     tac = icfg.lifted[logop.block].tac
     log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
-
-    paths: list[PathSlice] = []
-    exceeded = False
-
     prefix: list[TacInstruction] = [
         TacInstruction(pc=logop.block, op="SEGMENT", defs=(logop.function,)),
         tac[log_idx],
@@ -269,94 +261,85 @@ def backward_slice(
         *reversed(tac[:log_idx]),
     ]
 
-    def extern_slots(block_off: int) -> set[int]:
-        return set(range(icfg.lifted[block_off].extern_consumed))
+    paths: list[PathSlice] = []
+    edges_used: set[tuple] = set()
+    pending: dict[int, set[int]] = {}
+    trail: list[tuple[set, object]] = []  # (set, member) added by each crossing
+    # ("visit", fn, block, context, link) | ("cross", block, link, pred_fn,
+    # pred_block, context, edge_key) | ("undo", trail mark) | ("entry", fn, block, link)
+    stack: list[tuple] = [("visit", logop.function, logop.block, (), (prefix, None))]
 
-    def walk(fn_name: str, block: int, instrs: list[TacInstruction],
-             pending: dict[int, set[int]], context: tuple,
-             edges_used: frozenset, depth: int) -> None:
-        nonlocal exceeded
-        if exceeded:
-            return
-        if depth > max_depth:
-            exceeded = True
-            return
-        fn = icfg.functions[fn_name]
-        if block in fn.lift_failed:
-            return
-
-        def cross(pred_fn: str, pred_block: int, new_context: tuple,
-                  edge_key: tuple) -> None:
-            nonlocal exceeded
-            if exceeded or edge_key in edges_used:
-                return
-            needed = sorted(extern_slots(block) | pending.get(block, set()))
+    while stack:
+        item = stack.pop()
+        kind = item[0]
+        if kind == "undo":
+            while len(trail) > item[1]:
+                members, member = trail.pop()
+                members.discard(member)
+        elif kind == "cross":
+            _, block, link, pred_fn, pred_block, context, edge_key = item
+            if edge_key in edges_used:
+                continue
+            stack.append(("undo", len(trail)))
+            edges_used.add(edge_key)
+            trail.append((edges_used, edge_key))
             plb = icfg.lifted[pred_block]
-            new_pending = {k: set(v) for k, v in pending.items()}
-            copies: list[TacInstruction] = []
-            for k in needed:
+            slots = pending.setdefault(pred_block, set())
+            seg: list[TacInstruction] = []
+            for k in sorted(set(range(icfg.lifted[block].extern_consumed))
+                            | pending.get(block, set())):
                 src = plb.exit_var(k)
-                copies.append(TacInstruction(
-                    pc=block, op="PHI",
-                    defs=(f"S{k}@{block:#x}",), uses=(src,),
-                ))
+                seg.append(TacInstruction(pc=block, op="PHI",
+                                          defs=(f"S{k}@{block:#x}",), uses=(src,)))
                 slot = plb.entry_slot(src)
-                if slot is not None:
-                    new_pending.setdefault(pred_block, set()).add(slot)
-            seg = [TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,))]
-            seg += reversed(icfg.lifted[pred_block].tac)
-            walk(pred_fn, pred_block,
-                 instrs + copies + seg,
-                 new_pending, new_context,
-                 edges_used | {edge_key}, depth + 1)
-
-        terminal = True
-
-        for pred in icfg.functions[fn_name].pred.get(block, []):
-            terminal = False
-            cross(fn_name, pred, context, ("cfg", fn_name, pred, block))
-
-        for edge in icfg.return_edges_at(fn_name, block):
-            for exit_block in icfg.callee_exit_blocks(edge):
-                terminal = False
-                cross(edge.callee, exit_block, context + (edge,),
-                      ("ret", edge.caller, edge.call_block, exit_block))
-
-        if block == fn.entry:
-            if context:
-                edge = context[-1]
-                if edge.callee == fn_name:
-                    terminal = False
-                    cross(edge.caller, edge.call_block, context[:-1],
-                          ("call", edge.caller, edge.call_block, fn_name))
-            else:
-                incoming = icfg.edges_into(fn_name)
-                for edge in incoming:
-                    terminal = False
-                    cross(edge.caller, edge.call_block, context,
-                          ("call", edge.caller, edge.call_block, fn_name))
-                if not incoming:
-                    if len(paths) >= max_paths:
-                        exceeded = True
-                        return
-                    entry_marker = TacInstruction(pc=block, op="ENTRY", defs=(fn_name,))
-                    traversed = {t.defs[0] for t in instrs if t.op == "SEGMENT"}
-                    paths.append(PathSlice(
-                        logop=logop,
-                        instrs=instrs + [entry_marker],
-                        entry_function=fn_name,
-                        entry_block=block,
-                        crossed_functions=tuple(sorted(traversed - {fn_name})),
-                    ))
-                    return
-
-        if terminal and block != fn.entry:
-            # dead-end inside the graph (e.g. every predecessor pruned):
-            # not a valid entry path, drop it
-            return
-
-    walk(logop.function, logop.block, prefix, {}, (), frozenset(), 0)
-    return paths, exceeded
+                if slot is not None and slot not in slots:
+                    slots.add(slot)
+                    trail.append((slots, slot))
+            seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
+            seg += reversed(plb.tac)
+            stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
+        elif kind == "visit":
+            _, fn_name, block, context, link = item
+            fn = icfg.functions[fn_name]
+            if block in fn.lift_failed:
+                continue
+            moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
+                     for pred in fn.pred.get(block, [])]
+            for edge in icfg.return_edges_at(fn_name, block):
+                for exit_block in icfg.callee_exit_blocks(edge):
+                    moves.append((edge.callee, exit_block, context + (edge,),
+                                  ("ret", edge.caller, edge.call_block, exit_block)))
+            if block == fn.entry:
+                if context:
+                    callers = [context[-1]] if context[-1].callee == fn_name else []
+                    context = context[:-1]
+                else:
+                    callers = icfg.edges_into(fn_name)
+                    if not callers:
+                        stack.append(("entry", fn_name, block, link))
+                moves += [(edge.caller, edge.call_block, context,
+                           ("call", edge.caller, edge.call_block, fn_name))
+                          for edge in callers]
+            stack += [("cross", block, link, *move) for move in reversed(moves)]
+        else:
+            _, fn_name, block, link = item
+            if len(paths) >= max_paths:
+                return paths, True
+            segments = []
+            while link is not None:
+                seg, link = link
+                segments.append(seg)
+            instrs = [t for seg in reversed(segments) for t in seg]
+            instrs.append(TacInstruction(pc=block, op="ENTRY", defs=(fn_name,)))
+            traversed = {t.defs[0] for t in instrs if t.op == "SEGMENT"}
+            paths.append(PathSlice(
+                logop=logop,
+                instrs=instrs,
+                entry_function=fn_name,
+                entry_block=block,
+                crossed_functions=tuple(sorted(traversed - {fn_name})),
+            ))
+    return paths, False
 
 
 # --------------------------------------------------------------------------
@@ -454,82 +437,61 @@ def _path_summary(slice_: PathSlice) -> str:
 
 
 def detect(icfg: Icfg, sigdb=None, max_paths: int = DEFAULT_MAX_PATHS,
-           max_depth: int = DEFAULT_MAX_DEPTH, strict_eq2: bool = False) -> list[BytecodeFinding]:
+           strict_eq2: bool = False) -> list[BytecodeFinding]:
     """Run the full bytecode-level analysis and return sorted findings."""
     value_keys = build_value_keys(icfg)
     logops = extract_log_ops(icfg)
 
-    findings: list[BytecodeFinding] = []
-    tainted_by_event: dict[int | None, list[tuple[str, PathSlice]]] = {}
+    tainted_by_event: dict[int | None, list[PathSlice]] = {}
     il_by_event: dict[int | None, list[PathSlice]] = {}
     nocheck_by_event: dict[int | None, list[PathSlice]] = {}
     incomplete_events: set = set()
 
     for logop in logops:
-        slices, exceeded = backward_slice(icfg, logop, max_paths=max_paths, max_depth=max_depth)
+        slices, exceeded = backward_slice(icfg, logop, max_paths=max_paths)
         if exceeded:
             incomplete_events.add(logop.topic0)
         for sl in slices:
             result = taint_analysis(sl, value_keys)
             if result.tainted:
-                tainted_by_event.setdefault(logop.topic0, []).append((sl.entry_function, sl))
+                tainted_by_event.setdefault(logop.topic0, []).append(sl)
                 if not strict_eq2 and not _has_taint_related_sstore(sl, result.taint_keys, value_keys):
                     il_by_event.setdefault(logop.topic0, []).append(sl)
-            else:
-                if _unchecked_external_call(sl, result.taint_keys, value_keys):
-                    nocheck_by_event.setdefault(logop.topic0, []).append(sl)
+            elif _unchecked_external_call(sl, result.taint_keys, value_keys):
+                nocheck_by_event.setdefault(logop.topic0, []).append(sl)
 
     def event_name(topic0):
         sig = sigdb.topic_signature(topic0) if (sigdb and topic0 is not None) else None
         return _event_label(topic0, sig)
 
-    def confidence(topic0):
-        return "INCOMPLETE" if topic0 in incomplete_events else "POTENTIAL"
-
-    if strict_eq2:
-        findings.extend(_detect_strict_structural(icfg, logops, event_name))
-    else:
-        for topic0, slices in sorted(il_by_event.items(), key=lambda kv: kv[0] or 0):
-            findings.append(BytecodeFinding(
-                kind="INCONSISTENT_LOGGING",
-                condition="NO_TAINT_RELATED_SSTORE",
-                topic0=topic0,
-                event=event_name(topic0),
-                contract=icfg.origin,
-                confidence=confidence(topic0),
-                entries=tuple(sorted({s.entry_function for s in slices})),
-                paths=tuple(_path_summary(s) for s in slices),
-            ))
-
-    for topic0, pairs in sorted(tainted_by_event.items(), key=lambda kv: kv[0] or 0):
-        public_entries = sorted({
-            entry for entry, sl in pairs
-            if icfg.functions[entry].is_public
-        })
-        if len(public_entries) > 1:
-            findings.append(BytecodeFinding(
-                kind="EVENT_COUNTERFEITING",
-                condition="MULTI_TAINTED_PATHS",
-                topic0=topic0,
-                event=event_name(topic0),
-                contract=icfg.origin,
-                confidence=confidence(topic0),
-                entries=tuple(public_entries),
-                paths=tuple(_path_summary(s) for _, s in pairs),
-            ))
-
-    for topic0, slices in sorted(nocheck_by_event.items(), key=lambda kv: kv[0] or 0):
-        findings.append(BytecodeFinding(
-            kind="EVENT_COUNTERFEITING",
-            condition="NO_CONSTRAINT_EXTERNAL_CALL",
+    def finding(kind: str, condition: str, topic0, entries, slices) -> BytecodeFinding:
+        return BytecodeFinding(
+            kind=kind,
+            condition=condition,
             topic0=topic0,
             event=event_name(topic0),
             contract=icfg.origin,
-            confidence=confidence(topic0),
-            entries=tuple(sorted({s.entry_function for s in slices})),
+            confidence="INCOMPLETE" if topic0 in incomplete_events else "POTENTIAL",
+            entries=tuple(sorted(entries)),
             paths=tuple(_path_summary(s) for s in slices),
-        ))
+        )
 
+    findings: list[BytecodeFinding] = []
+    if strict_eq2:
+        findings.extend(_detect_strict_structural(icfg, logops, event_name))
+    for topic0, slices in il_by_event.items():
+        findings.append(finding("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", topic0,
+                                {s.entry_function for s in slices}, slices))
+    for topic0, slices in tainted_by_event.items():
+        public_entries = {s.entry_function for s in slices
+                          if icfg.functions[s.entry_function].is_public}
+        if len(public_entries) > 1:
+            findings.append(finding("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", topic0,
+                                    public_entries, slices))
+    for topic0, slices in nocheck_by_event.items():
+        findings.append(finding("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL", topic0,
+                                {s.entry_function for s in slices}, slices))
+    # stable: findings that tie on the sort key keep the order of their first log site
     return sorted(findings, key=BytecodeFinding.sort_key)
 
 

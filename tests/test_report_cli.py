@@ -15,6 +15,7 @@ from phantomscan.cli import main
 from phantomscan.findings import from_txlog, jsonable, make_finding
 from phantomscan.report import merge
 from phantomscan.resources import fixture_path
+from test_taint import padded_chain
 
 FIX = {name: str(fixture_path(name)) for name in (
     "counterfeit.hex", "checked_call.hex", "counterfeit.msol",
@@ -162,6 +163,15 @@ def test_cli_analyze_bytecode_exit_codes():
     clean = runner().invoke(main, ["analyze-bytecode", FIX["checked_call.hex"]])
     assert clean.exit_code == 0
     assert "0 findings" in clean.output
+
+
+def test_cli_analyze_bytecode_reports_a_log_65_blocks_down(tmp_path):
+    # a LOG 65 blocks below the read of the word it logs
+    path = tmp_path / "padded65.hex"
+    path.write_text(padded_chain(65, store_near_log=True).code.hex())
+    res = runner().invoke(main, ["analyze-bytecode", str(path)])
+    assert res.exit_code == 1
+    assert "INCONSISTENT_LOGGING" in res.output
 
 
 def test_cli_analyze_source_json():

@@ -1,9 +1,11 @@
 """Backward slicing, taint propagation, and the bytecode detectors."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from phantomscan._keccak import event_topic
 from phantomscan.evm import Bytecode
+from phantomscan.evm.opcodes import MNEMONIC_TO_OPCODE
 from phantomscan.lifter import SigDb, build_icfg
 from phantomscan.lifter.tac import TacInstruction
 from phantomscan.resources import fixture_path
@@ -17,6 +19,7 @@ from phantomscan.taint import (
     extract_log_ops,
     taint_analysis,
 )
+from test_fuzz import _time_box
 
 FIXTURES = ["counterfeit", "inconsistent", "inconsistent_safe",
             "emit_helper", "nocheck_call", "checked_call"]
@@ -282,3 +285,119 @@ class TestStrictMode:
         icfg, sigdb = icfg_for("emit_helper")
         strict = detect(icfg, sigdb=sigdb, strict_eq2=True)
         assert any(f.condition == "STRICT_STRUCTURAL" for f in strict)
+
+
+# --------------------------------------------------------------------------
+# no hidden depth limits: long block chains and wide dispatchers
+# --------------------------------------------------------------------------
+
+def assemble(items) -> bytes:
+    """Mnemonics, ("PUSHn", value) pairs, ("label", name) marks and
+    ("pushl", name) pushes of a label's offset as PUSH2."""
+    labels: dict[str, int] = {}
+    offset = 0
+    for item in items:
+        if isinstance(item, str):
+            offset += 1
+        elif item[0] == "label":
+            labels[item[1]] = offset
+        else:
+            offset += 3 if item[0] == "pushl" else 1 + int(item[0][4:])
+    out = bytearray()
+    for item in items:
+        if isinstance(item, str):
+            out.append(MNEMONIC_TO_OPCODE[item])
+        elif item[0] == "pushl":
+            out.append(MNEMONIC_TO_OPCODE["PUSH2"])
+            out += labels[item[1]].to_bytes(2, "big")
+        elif item[0] != "label":
+            out.append(MNEMONIC_TO_OPCODE[item[0]])
+            out += item[1].to_bytes(int(item[0][4:]), "big")
+    return bytes(out)
+
+
+def log1_of_word0(signature: str) -> list:
+    return [("PUSH32", topic(signature)), ("PUSH1", 32), ("PUSH1", 0), "LOG1"]
+
+
+def padded_chain(blocks: int, store_near_log: bool) -> Bytecode:
+    """CALLDATALOAD 4, then `blocks` JUMPDEST blocks, then a LOG1 of that
+    word; its MSTORE sits right before the LOG or above every pad block."""
+    store = [("PUSH1", 0), "MSTORE"]
+    pad = ["JUMPDEST"] * blocks
+    items = [("PUSH1", 4), "CALLDATALOAD"]
+    items += pad + store if store_near_log else store + pad
+    items += log1_of_word0("Padded(uint256)") + ["STOP"]
+    return Bytecode(code=assemble(items))
+
+
+SELECTOR_BASE = 0x10000000
+
+
+def callers(n: int) -> Bytecode:
+    """n public selectors, each passing its argument to one helper that
+    logs it without a storage write."""
+    items = [("PUSH1", 4), "CALLDATASIZE", "LT", ("pushl", "revert"), "JUMPI",
+             ("PUSH1", 0), "CALLDATALOAD", ("PUSH1", 0xE0), "SHR"]
+    for i in range(n):
+        items += ["DUP1", ("PUSH4", SELECTOR_BASE + i), "EQ", ("pushl", f"f{i}"), "JUMPI"]
+    items += [("label", "revert"), "JUMPDEST", ("PUSH1", 0), ("PUSH1", 0), "REVERT"]
+    for i in range(n):
+        items += [("label", f"f{i}"), "JUMPDEST", ("pushl", f"r{i}"),
+                  ("PUSH1", 4), "CALLDATALOAD", ("pushl", "helper"), "JUMP",
+                  ("label", f"r{i}"), "JUMPDEST", "STOP"]
+    items += [("label", "helper"), "JUMPDEST", ("PUSH1", 0), "MSTORE",
+              *log1_of_word0("Routed(uint256)"), "JUMP"]
+    return Bytecode(code=assemble(items))
+
+
+class TestNoDepthLimit:
+    @pytest.mark.parametrize("store_near_log", [True, False])
+    @pytest.mark.parametrize("blocks", [9, 65, 1000, 5000])
+    def test_long_chain_reports_the_unanchored_log(self, blocks, store_near_log):
+        # neither the backward walk nor the search for the logged word's
+        # MSTORE stops after a fixed number of blocks
+        with _time_box(2.0):
+            findings = detect(build_icfg(padded_chain(blocks, store_near_log)))
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", ("fallback",), "POTENTIAL"),
+        ]
+
+    def test_paths_come_out_in_walk_order_and_share_edges(self):
+        # an entry block falls into a branch whose two arms join at the LOG:
+        # both reverse paths cross the edge out of the entry block, lower
+        # predecessor first
+        code = assemble([
+            ("PUSH1", 4), "CALLDATALOAD",
+            ("label", "branch"), "JUMPDEST", ("PUSH1", 0), "CALLDATALOAD",
+            ("pushl", "right"), "JUMPI",
+            ("pushl", "join"), "JUMP",
+            ("label", "right"), "JUMPDEST",
+            ("label", "join"), "JUMPDEST", ("PUSH1", 0), "MSTORE",
+            *log1_of_word0("Joined(uint256)"), "STOP",
+        ])
+        icfg = build_icfg(Bytecode(code=code))
+        op, = extract_log_ops(icfg)
+        slices, exceeded = backward_slice(icfg, op)
+        assert not exceeded
+        assert [[b for _, b in s.block_trace] for s in slices] == [
+            [0x10, 0xB, 0x3, 0x0],
+            [0x10, 0xF, 0x3, 0x0],
+        ]
+        # a path ends at an entry only after the longer paths through it
+        loop = build_icfg(Bytecode.from_hex("5b600035600057602a60005260aa60206000a100"))
+        op, = extract_log_ops(loop)
+        assert [[b for _, b in s.block_trace] for s in backward_slice(loop, op)[0]] == [
+            [0x7, 0x0, 0x0],
+            [0x7, 0x0],
+        ]
+
+    @pytest.mark.parametrize("n", [64, 70, 128])
+    def test_wide_dispatcher_keeps_every_caller(self, n):
+        # every selector of a wide dispatcher is its own public entry
+        findings = detect(build_icfg(callers(n)))
+        entries = tuple(sorted(f"func_{SELECTOR_BASE + i:08x}" for i in range(n)))
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == [
+            ("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", entries, "POTENTIAL"),
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", entries, "POTENTIAL"),
+        ]
