@@ -2,13 +2,12 @@
 
 Public functions are found by walking the selector dispatcher from
 offset 0 (PUSHn selector; EQ; PUSH dest; JUMPI per branch).  Internal
-helpers are found via the push-return-address pattern: a JUMP whose
-block leaves a constant JUMPDEST offset on the stack, where the jump
-target's region hands control back to that offset through a
-caller-supplied (extern-slot) jump.  Blocks reachable from more than
-one entry are owned by each function separately, so path enumeration
-never leaks between functions; a LOG-bearing helper stays a single
-separate unit connected by call edges.
+helpers are the targets of the calls that jump resolution records: a
+JUMP leaving a JUMPDEST offset on the stack that reaches, through any
+number of blocks, a jump to a caller-supplied (entry-slot) address.
+Blocks reachable from more than one entry are owned by each function
+separately, so path enumeration never leaks between functions; a
+LOG-bearing helper stays a single separate unit connected by call edges.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from .. import jsonout
 from ..evm.disasm import Bytecode
 from .blocks import BasicBlock, build_blocks, fold_constants, resolve_jumps
 from .tac import LiftedBlock, _VarSource, lift_block
-
-_CALLEE_SCAN_LIMIT = 32
 
 
 class SigDbError(ValueError):
@@ -124,13 +121,19 @@ class Icfg:
     consts: dict[str, int]  # every CONST-defined variable -> its value
     _into: dict[str, list[CallEdge]] = field(init=False, repr=False)
     _returns: dict[tuple[str, int], list[CallEdge]] = field(init=False, repr=False)
+    _exits: dict[tuple[str, int], list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._into = {}
         self._returns = {}
+        self._exits = {}
         for e in self.call_edges:
             self._into.setdefault(e.callee, []).append(e)
             self._returns.setdefault((e.caller, e.return_block), []).append(e)
+        for callee in self._into:
+            for off in sorted(self.functions[callee].block_offsets):
+                for s in self.blocks[off].successors:
+                    self._exits.setdefault((callee, s), []).append(off)
 
     def edges_into(self, callee: str) -> tuple[CallEdge, ...]:
         return tuple(self._into.get(callee, ()))
@@ -139,11 +142,7 @@ class Icfg:
         return tuple(self._returns.get((caller, block), ()))
 
     def callee_exit_blocks(self, edge: CallEdge) -> list[int]:
-        callee = self.functions[edge.callee]
-        return sorted(
-            off for off in callee.block_offsets
-            if edge.return_block in self.blocks[off].successors
-        )
+        return self._exits.get((edge.callee, edge.return_block), [])
 
     def to_json(self) -> str:
         doc = {
@@ -245,46 +244,8 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
     return branches
 
 
-def _find_call_edges(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
-                     values: dict[str, int]) -> list[tuple[int, int, int]]:
-    """Detect (call block, callee entry, return block) triples."""
-    edges: list[tuple[int, int, int]] = []
-    for b in sorted(blocks):
-        block = blocks[b]
-        if block.terminator != "JUMP" or not block.successors:
-            continue
-        ret_consts = [values[v] for v in lifted[b].exit_stack if values.get(v) in blocks]
-        if not ret_consts:
-            continue
-        for target in block.successors:
-            for ret in ret_consts:
-                if ret == target:
-                    continue
-                if _returns_to(blocks, target, ret):
-                    edges.append((b, target, ret))
-                    break
-    return edges
-
-
-def _returns_to(blocks: dict[int, BasicBlock], entry: int, ret: int) -> bool:
-    """True if some block reachable from ``entry`` hands control back to
-    ``ret`` through a caller-supplied jump target."""
-    seen: set[int] = set()
-    frontier = [entry]
-    while frontier and len(seen) < _CALLEE_SCAN_LIMIT:
-        off = frontier.pop()
-        if off in seen or off not in blocks:
-            continue
-        seen.add(off)
-        block = blocks[off]
-        if block.returns_via_entry_slot and ret in block.successors:
-            return True
-        frontier.extend(block.successors)
-    return False
-
-
 def _reachable(blocks: dict[int, BasicBlock], entry: int,
-               call_by_block: dict[int, tuple[int, int]],
+               call_by_block: dict[int, int],
                other_entries: set[int]) -> tuple[set[int], dict[int, list[int]]]:
     """Blocks owned by a function entry, with call edges short-circuited
     to their return blocks and other entries treated as boundaries."""
@@ -297,8 +258,7 @@ def _reachable(blocks: dict[int, BasicBlock], entry: int,
             continue
         owned.add(off)
         if off in call_by_block:
-            _, ret = call_by_block[off]
-            nexts = [ret]
+            nexts = [call_by_block[off]]
         elif blocks[off].returns_via_entry_slot:
             # return-style jump to a caller-supplied address: the
             # continuation belongs to the callers, not this function
@@ -321,7 +281,7 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
     unresolved = resolve_jumps(blocks, lifted, values)
 
     branches = _walk_dispatcher(blocks)
-    raw_call_edges = _find_call_edges(blocks, lifted, values)
+    raw_call_edges = [(b, t, r) for b in sorted(blocks) for t, r in blocks[b].calls.items()]
 
     public_entries = {entry for _, entry in branches}
     helper_entries = sorted(
@@ -329,33 +289,18 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
     )
 
     functions: dict[str, FunctionUnit] = {}
-
-    def add_function(name: str, entry: int, selector: int | None,
-                     signature: str | None, public: bool) -> FunctionUnit:
-        fn = FunctionUnit(
-            name=name,
-            entry=entry,
-            selector=f"0x{selector:08x}" if selector is not None else None,
-            signature=signature,
-            is_public=public,
-        )
-        functions[name] = fn
-        return fn
-
     for sel, entry in branches:
         signature = sigdb.selector_signature(sel)
         name = SigDb.bare_name(signature) if signature else f"func_{sel:08x}"
-        add_function(name, entry, sel, signature, public=True)
-
+        functions[name] = FunctionUnit(name, entry, f"0x{sel:08x}", signature, is_public=True)
     if 0 in blocks:
         # execution always starts at offset 0, so the fallback owns the
         # dispatcher chain plus whatever runs when no selector matches
-        add_function("fallback", 0, None, None, public=True)
-
+        functions["fallback"] = FunctionUnit("fallback", 0, is_public=True)
     for entry in helper_entries:
-        add_function(f"helper_{entry:#x}", entry, None, None, public=False)
+        functions[f"helper_{entry:#x}"] = FunctionUnit(f"helper_{entry:#x}", entry)
 
-    call_by_block = {b: (t, r) for b, t, r in raw_call_edges}
+    call_by_block = {b: r for b, _, r in raw_call_edges}
     all_entries = {fn.entry for fn in functions.values()}
 
     call_edges: list[CallEdge] = []

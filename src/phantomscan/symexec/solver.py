@@ -435,6 +435,37 @@ def _smt_parts(x: SymValue) -> list | None:
     return [f"({_SMT_BOOL.get(x.op, '=')} ", x.left, " ", x.right, ")"]
 
 
+def _smt_formula(c: SymValue) -> str:
+    """One asserted formula.  A node reached more than once is written
+    once, as a `let` around the formula, so the text grows with the
+    number of distinct nodes rather than with the paths to them."""
+    seen: dict[int, int] = {}  # id -> times reached
+    order: list[SymValue] = []  # distinct nodes, children first
+    stack: list[tuple[SymValue, bool]] = [(c, False)]
+    while stack:
+        x, done = stack.pop()
+        if done:
+            order.append(x)
+        elif id(x) in seen:
+            seen[id(x)] += 1
+        else:
+            seen[id(x)] = 1
+            stack.append((x, True))
+            stack += [(k, False) for k in reversed(_smt_parts(x) or ()) if type(k) is not str]
+    names: dict[int, str] = {}
+
+    def text(x: SymValue) -> str:
+        return render(x, lambda y: None if id(y) in names else _smt_parts(y),
+                      lambda y: names.get(id(y)) or _smt_leaf(y))
+
+    lets = []
+    for x in order:
+        if seen[id(x)] > 1 and not isinstance(x, (Literal, *ATOMIC)):
+            lets.append(f"(let ((?s{len(names)} {text(x)})) ")
+            names[id(x)] = f"?s{len(names)}"
+    return "".join(lets) + text(c) + ")" * len(lets)
+
+
 def export_smtlib(conjuncts: list[SymValue]) -> str:
     """SMT-LIB 2 rendering of the conjunction, for external solvers."""
     declared: dict[str, str] = {}
@@ -445,6 +476,6 @@ def export_smtlib(conjuncts: list[SymValue]) -> str:
     for name in sorted(declared):
         lines.append(f"(declare-const {name} {declared[name]})")
     for c in conjuncts:
-        lines.append(f"(assert {render(c, _smt_parts, _smt_leaf)})")
+        lines.append(f"(assert {_smt_formula(c)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

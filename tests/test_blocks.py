@@ -72,6 +72,26 @@ def test_jump_target_through_stack_propagation():
     assert blocks[0x5].returns_via_entry_slot
 
 
+def test_return_target_through_pass_through_blocks():
+    # PUSH1 09 PUSH1 05 JUMP | JUMPDEST(5) | JUMPDEST(6) | JUMPDEST(7) JUMP | JUMPDEST(9) STOP
+    # the return address passes two blocks before the block that jumps to it
+    blocks, unresolved = blocks_of("6009600556" + "5b" + "5b" + "5b56" + "5b00")
+    assert unresolved == 0
+    assert blocks[0x7].successors == [0x9]
+    assert blocks[0x9].predecessors == [0x7]
+    assert blocks[0x0].calls == {0x5: 0x9}
+
+
+def test_loop_that_pops_more_than_it_pushes_terminates():
+    # PUSH1 0d PUSH1 07 | JUMPDEST(4) POP PUSH1 0 CALLDATALOAD PUSH1 04 JUMPI
+    # | JUMP(c) | JUMPDEST(d) STOP: each round of the loop pops one slot
+    # deeper, so the slots that reach the return jump are bounded only by
+    # the EVM stack
+    blocks, unresolved = blocks_of("600d6007" + "5b50600035600457" + "56" + "5b00")
+    assert unresolved == 0
+    assert blocks[0xC].successors == [0xD]
+
+
 def test_jump_target_folds_and_and_add():
     # PUSH1 05 PUSH1 05 ADD PUSH1 ff AND JUMP STOP | JUMPDEST(0xa) STOP
     blocks, unresolved = blocks_of("6005600501" + "60ff1656" + "00" + "5b00")

@@ -9,6 +9,7 @@ from phantomscan._keccak import function_selector
 from phantomscan.evm import Bytecode
 from phantomscan.lifter import Icfg, SigDb, SigDbError, build_icfg
 from phantomscan.resources import fixture_path
+from test_taint import callers
 
 
 def icfg_for(name: str) -> Icfg:
@@ -113,6 +114,22 @@ class TestCallEdges:
         icfg = icfg_for("emit_helper")
         for e in icfg.call_edges:
             assert icfg.callee_exit_blocks(e) == [0x49]
+
+
+    def test_helpers_return_from_blocks_below_their_entry(self):
+        # two callers of a multi-block helper that calls a second one; each
+        # helper returns from a block below its entry
+        icfg = build_icfg(callers(2, "nested"))
+        assert icfg.unresolved_jumps == 0
+        edges = {(e.caller, e.call_block, e.callee, e.return_block): icfg.callee_exit_blocks(e)
+                 for e in icfg.call_edges}
+        assert edges == {
+            ("func_10000000", 0x2A, "helper_0x44", 0x35): [0x81],
+            ("func_10000001", 0x37, "helper_0x44", 0x42): [0x81],
+            ("helper_0x44", 0x45, "helper_0x54", 0x4E): [0x7F],
+        }
+        assert owned(icfg, "helper_0x44") == [0x44, 0x45, 0x4E, 0x4F, 0x81]
+        assert owned(icfg, "helper_0x54") == [0x54, 0x55, 0x7F]
 
 
 class TestSerialization:

@@ -65,6 +65,67 @@ def _random_code(rng: random.Random) -> bytes:
     return bytes(out[:200])
 
 
+def assemble(items) -> bytes:
+    """Mnemonics, ("PUSHn", value) pairs, ("label", name) marks and
+    ("pushl", name) pushes of a label's offset as PUSH2."""
+    labels: dict[str, int] = {}
+    offset = 0
+    for item in items:
+        if isinstance(item, str):
+            offset += 1
+        elif item[0] == "label":
+            labels[item[1]] = offset
+        else:
+            offset += 3 if item[0] == "pushl" else 1 + int(item[0][4:])
+    out = bytearray()
+    for item in items:
+        if isinstance(item, str):
+            out.append(MNEMONIC_TO_OPCODE[item])
+        elif item[0] == "pushl":
+            out.append(MNEMONIC_TO_OPCODE["PUSH2"])
+            out += labels[item[1]].to_bytes(2, "big")
+        elif item[0] != "label":
+            out.append(MNEMONIC_TO_OPCODE[item[0]])
+            out += item[1].to_bytes(int(item[0][4:]), "big")
+    return bytes(out)
+
+
+def _random_call_code(rng: random.Random) -> tuple[bytes, int]:
+    """1-8 callers, each pushing its return label and jumping into one
+    helper of 1-50 random blocks (JUMPDEST padding, forward JUMPIs on
+    calldata, a LOG1 of calldata) that ends in a return JUMP.  One more
+    helper block is a loop that pops more than it pushes.  Returns the
+    code and its number of callers."""
+    n = rng.randint(1, 8)
+    items: list = []
+    for i in range(n):  # dispatch on calldata flags
+        items += [("PUSH1", 32 * i), "CALLDATALOAD", ("pushl", f"c{i}"), "JUMPI"]
+    items.append("STOP")
+    for i in range(n):
+        items += [("label", f"c{i}"), "JUMPDEST", ("pushl", f"r{i}"), ("pushl", "h0"), "JUMP",
+                  ("label", f"r{i}"), "JUMPDEST", "STOP"]
+    size = rng.randint(1, 50)
+    loop = rng.randint(1, size)  # the loop block's place, after the helper's entry
+    log = rng.randrange(size)
+    for k in range(size + 1):
+        if k == loop:
+            # under the return label sits one junk word, which the loop pops
+            # on its first round; every further round pops one slot deeper
+            items += [("PUSH1", 7), ("label", "loop"), "JUMPDEST", "POP",
+                      ("PUSH1", 0), "CALLDATALOAD", ("pushl", "loop"), "JUMPI"]
+        if k == size:
+            break
+        items += [("label", f"h{k}"), "JUMPDEST"]
+        if k == log:
+            items += [("PUSH1", 4), "CALLDATALOAD", ("PUSH1", 0), "MSTORE",
+                      ("PUSH32", rng.getrandbits(256)), ("PUSH1", 32), ("PUSH1", 0), "LOG1"]
+        if rng.random() < 0.5 and k + 1 < size:
+            target = rng.randint(k + 1, size - 1)
+            items += [("PUSH1", rng.randrange(256)), "CALLDATALOAD", ("pushl", f"h{target}"), "JUMPI"]
+    items.append("JUMP")
+    return assemble(items), n
+
+
 def test_log_over_a_2_to_the_255_byte_region_returns():
     # PUSH32 2^255 (size), PUSH1 0 (offset), LOG0
     code = Bytecode.from_hex("7f80" + "00" * 31 + "6000a0")
@@ -96,3 +157,18 @@ def test_2000_random_bytecodes_finish_without_raising():
         except Exception as exc:
             pytest.fail(f"case {i} ({code.hex()}): {type(exc).__name__}: {exc}")
         assert isinstance(findings, list)
+
+
+def test_500_random_calls_resolve_every_return_jump():
+    rng = random.Random(20261019)
+    for i in range(500):
+        code, n = _random_call_code(rng)
+        try:
+            with _time_box(CASE_BOUND_S):
+                icfg = build_icfg(Bytecode(code=code))
+                detect(icfg)
+        except Exception as exc:
+            pytest.fail(f"case {i} ({code.hex()}): {type(exc).__name__}: {exc}")
+        returns = [b for b in icfg.blocks.values() if b.returns_via_entry_slot]
+        assert icfg.unresolved_jumps == 0 and len(returns) == 1, (i, code.hex())
+        assert len(returns[0].successors) == len(icfg.call_edges) == n, (i, code.hex())

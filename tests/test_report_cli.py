@@ -15,7 +15,7 @@ from phantomscan.cli import main
 from phantomscan.findings import from_txlog, jsonable, make_finding
 from phantomscan.report import merge
 from phantomscan.resources import fixture_path
-from test_taint import padded_chain
+from test_taint import callers, padded_chain
 
 FIX = {name: str(fixture_path(name)) for name in (
     "counterfeit.hex", "checked_call.hex", "counterfeit.msol",
@@ -294,15 +294,33 @@ def _chain_source(shape: str, steps: int, emitted: str = "x") -> str:
     ]) + "\n"
 
 
-def _analyze_source_cli(workdir: Path, text: str) -> subprocess.CompletedProcess:
+def _cli_json(workdir: Path, command: str, name: str, text: str) -> subprocess.CompletedProcess:
+    """`phantomscan <command> --json <name>` in a child process, on a
+    file of that name holding `text`."""
     src = str(Path(phantomscan.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     workdir.mkdir()
-    (workdir / "deep.msol").write_text(text)
+    (workdir / name).write_text(text)
     return subprocess.run(
-        [sys.executable, "-m", "phantomscan.cli", "analyze-source", "--json", "deep.msol"],
+        [sys.executable, "-m", "phantomscan.cli", command, "--json", name],
         capture_output=True, text=True, env=env, cwd=workdir, timeout=120)
+
+
+def _analyze_source_cli(workdir: Path, text: str) -> subprocess.CompletedProcess:
+    return _cli_json(workdir, "analyze-source", "deep.msol", text)
+
+
+def test_cli_helper_returning_from_a_later_block_flags_every_caller(tmp_path):
+    # three callers of a helper whose return JUMP sits one block below its
+    # entry, as any require in a compiled helper puts it
+    code = callers(3, "jumpdest-before-return").code
+    run = _cli_json(tmp_path / "run", "analyze-bytecode", "callers3.hex", code.hex())
+    assert run.returncode == 1 and run.stderr == ""
+    found = [(f["kind"], f["evidence"]["condition"], len(f["subject"]["functions"]))
+             for f in json.loads(run.stdout)["findings"]]
+    assert found == [("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", 3),
+                     ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", 3)]
 
 
 @pytest.mark.parametrize("shape,steps", [(s, 1000) for s in CHAINS] + [("sum", 10_000)])

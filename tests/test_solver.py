@@ -7,6 +7,7 @@ import pytest
 
 from phantomscan import minisol
 from phantomscan.symexec import SAT, UNKNOWN, UNSAT, export_smtlib, solve
+from phantomscan.symexec.engine import search_paths
 from phantomscan.symexec.values import (
     UINT_MAX,
     BinOp,
@@ -18,6 +19,7 @@ from phantomscan.symexec.values import (
     arith,
     evaluate,
 )
+from test_fuzz import _time_box
 
 X, Y, Z = FreeVar(name="x"), FreeVar(name="y"), FreeVar(name="z")
 CMP = ["==", "!=", "<", "<=", ">", ">="]
@@ -202,6 +204,20 @@ class TestSmtExport:
     def test_width_mismatch_gets_zero_extended(self):
         text = export_smtlib([BinOp("==", CallerSym(), X)])
         assert "zero_extend 96" in text
+
+    def test_shared_nodes_are_written_once(self):
+        # after 200 statements of `b = b || b;` the guard is a formula of
+        # 2^200 leaves as a tree: each node reached twice is bound by a let
+        body = ["bool b = x > 1;", *["b = b || b;"] * 200, "require(b);", "emit E(x);"]
+        c = minisol.load("contract C { event E(uint256 v);\n"
+                         "function f(uint256 x) external {\n" + "\n".join(body) + "\n} }")
+        (path,) = search_paths(c, "f").paths
+        with _time_box(1.0):
+            text = export_smtlib(list(path.conjuncts))
+        assert text.count("(let ") == 200 and len(text) < 20_000
+        a = BinOp(">", X, lit(1))
+        assert "(assert (let ((?s0 (bvugt |x| (_ bv1 256)))) (or ?s0 ?s0)))" in \
+            export_smtlib([BinOp("||", a, a)])
 
     def test_export_is_deterministic(self):
         conjuncts = [BinOp("<", X, Y), BinOp("!=", Y, Z)]

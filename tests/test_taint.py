@@ -19,7 +19,7 @@ from phantomscan.taint import (
     extract_log_ops,
     taint_analysis,
 )
-from test_fuzz import _time_box
+from test_fuzz import _time_box, assemble
 
 FIXTURES = ["counterfeit", "inconsistent", "inconsistent_safe",
             "emit_helper", "nocheck_call", "checked_call"]
@@ -291,31 +291,6 @@ class TestStrictMode:
 # no hidden depth limits: long block chains and wide dispatchers
 # --------------------------------------------------------------------------
 
-def assemble(items) -> bytes:
-    """Mnemonics, ("PUSHn", value) pairs, ("label", name) marks and
-    ("pushl", name) pushes of a label's offset as PUSH2."""
-    labels: dict[str, int] = {}
-    offset = 0
-    for item in items:
-        if isinstance(item, str):
-            offset += 1
-        elif item[0] == "label":
-            labels[item[1]] = offset
-        else:
-            offset += 3 if item[0] == "pushl" else 1 + int(item[0][4:])
-    out = bytearray()
-    for item in items:
-        if isinstance(item, str):
-            out.append(MNEMONIC_TO_OPCODE[item])
-        elif item[0] == "pushl":
-            out.append(MNEMONIC_TO_OPCODE["PUSH2"])
-            out += labels[item[1]].to_bytes(2, "big")
-        elif item[0] != "label":
-            out.append(MNEMONIC_TO_OPCODE[item[0]])
-            out += item[1].to_bytes(int(item[0][4:]), "big")
-    return bytes(out)
-
-
 def log1_of_word0(signature: str) -> list:
     return [("PUSH32", topic(signature)), ("PUSH1", 32), ("PUSH1", 0), "LOG1"]
 
@@ -334,9 +309,10 @@ def padded_chain(blocks: int, store_near_log: bool) -> Bytecode:
 SELECTOR_BASE = 0x10000000
 
 
-def callers(n: int) -> Bytecode:
+def callers(n: int, helper: str = "single-block") -> Bytecode:
     """n public selectors, each passing its argument to one helper that
-    logs it without a storage write."""
+    logs it without a storage write.  `helper` names the helper's body,
+    from its entry JUMPDEST to its return JUMP, in HELPERS."""
     items = [("PUSH1", 4), "CALLDATASIZE", "LT", ("pushl", "revert"), "JUMPI",
              ("PUSH1", 0), "CALLDATALOAD", ("PUSH1", 0xE0), "SHR"]
     for i in range(n):
@@ -346,9 +322,31 @@ def callers(n: int) -> Bytecode:
         items += [("label", f"f{i}"), "JUMPDEST", ("pushl", f"r{i}"),
                   ("PUSH1", 4), "CALLDATALOAD", ("pushl", "helper"), "JUMP",
                   ("label", f"r{i}"), "JUMPDEST", "STOP"]
-    items += [("label", "helper"), "JUMPDEST", ("PUSH1", 0), "MSTORE",
-              *log1_of_word0("Routed(uint256)"), "JUMP"]
+    items += [("label", "helper"), "JUMPDEST", *HELPERS[helper], "JUMP"]
     return Bytecode(code=assemble(items))
+
+
+ROUTED = [("PUSH1", 0), "MSTORE", *log1_of_word0("Routed(uint256)")]
+# helper bodies, entered with (argument, return label); all but the first
+# split into several blocks, as any require or branch in a compiled
+# helper does
+HELPERS = {
+    "single-block": ROUTED,
+    # the return JUMP one block below the helper's entry
+    "jumpdest-before-return": [*ROUTED, "JUMPDEST"],
+    # 40 blocks, the LOG and the return JUMP in the last
+    "40-blocks": ["JUMPDEST"] * 39 + ROUTED,
+    # a branch on calldata whose two arms join before the LOG
+    "branch": [("PUSH1", 0x24), "CALLDATALOAD", ("pushl", "arm"), "JUMPI",
+               ("pushl", "join"), "JUMP", ("label", "arm"), "JUMPDEST",
+               ("label", "join"), "JUMPDEST", *ROUTED, "JUMPDEST"],
+    # calls a second multi-block helper, which logs, and returns through
+    # a block of its own
+    "nested": ["JUMPDEST", ("pushl", "back"), "SWAP1", ("pushl", "inner"), "JUMP",
+               ("label", "back"), "JUMPDEST", "JUMPDEST", ("pushl", "done"), "JUMP",
+               ("label", "inner"), "JUMPDEST", "JUMPDEST", *ROUTED, "JUMPDEST", "JUMP",
+               ("label", "done"), "JUMPDEST"],
+}
 
 
 class TestNoDepthLimit:
@@ -392,12 +390,24 @@ class TestNoDepthLimit:
             [0x7, 0x0],
         ]
 
-    @pytest.mark.parametrize("n", [64, 70, 128])
-    def test_wide_dispatcher_keeps_every_caller(self, n):
-        # every selector of a wide dispatcher is its own public entry
-        findings = detect(build_icfg(callers(n)))
+    @pytest.mark.parametrize("n,helper", [
+        *(pytest.param(n, "single-block", id=str(n)) for n in (64, 70, 128)),
+        *((3, helper) for helper in HELPERS if helper != "single-block"),
+        (64, "nested"),
+    ])
+    def test_wide_dispatcher_keeps_every_caller(self, n, helper):
+        # every selector of a wide dispatcher is its own public entry, and
+        # each reaches the helper's LOG through its own call edge, however
+        # many blocks lie between the helper's entry and its return jump
+        icfg = build_icfg(callers(n, helper))
         entries = tuple(sorted(f"func_{SELECTOR_BASE + i:08x}" for i in range(n)))
+        assert icfg.unresolved_jumps == 0
+        calls = sorted((e.caller, e.callee) for e in icfg.call_edges if e.caller in entries)
+        assert [caller for caller, _ in calls] == list(entries)
+        assert len({callee for _, callee in calls}) == 1
+        findings = detect(icfg)
         assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == [
             ("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", entries, "POTENTIAL"),
             ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", entries, "POTENTIAL"),
         ]
+
