@@ -175,13 +175,10 @@ def parse(file: str, as_summary: bool) -> None:
 @main.command("analyze-bytecode")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sigdb", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--max-paths", default=256, show_default=True,
-              help="Backward-slice budget per log site.")
 @click.option("--strict-eq2", is_flag=True,
               help="Also run the purely structural per-function check.")
 @click.option("--json", "as_json", is_flag=True)
-def analyze_bytecode(file: str, sigdb: str | None, max_paths: int, strict_eq2: bool,
-                     as_json: bool) -> None:
+def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bool) -> None:
     """Taint-analyze every LOG site in compiled bytecode."""
     db = _load_sigdb(sigdb)
     try:
@@ -189,7 +186,7 @@ def analyze_bytecode(file: str, sigdb: str | None, max_paths: int, strict_eq2: b
     except _INPUT_ERRORS as exc:
         _fail(file, exc)
     graph = build_icfg(bc, db)
-    raw = detect(graph, db, max_paths=max_paths, strict_eq2=strict_eq2)
+    raw = detect(graph, db, strict_eq2=strict_eq2)
     _emit(merge(from_bytecode(f, origin=Path(file).name) for f in raw), as_json)
 
 

@@ -13,6 +13,7 @@ LOG-bearing helper stays a single separate unit connected by call edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .. import jsonout
@@ -144,6 +145,39 @@ class Icfg:
     def callee_exit_blocks(self, edge: CallEdge) -> list[int]:
         return self._exits.get((edge.callee, edge.return_block), [])
 
+    @cached_property
+    def revisitable(self) -> frozenset[int]:
+        """Blocks one reverse walk from a block (predecessors, return edges
+        into callees, call edges out to callers) can visit twice: blocks on
+        a cycle of predecessors and calls (return block -> call block),
+        blocks of several functions, and the blocks of every function a
+        walk can enter twice, that is one reached through calls from one of
+        its own callees, or from both of two calls one function makes one
+        after the other."""
+        up: dict[int, set[int]] = {}
+        for fn in self.functions.values():
+            for b, preds in fn.pred.items():
+                up.setdefault(b, set()).update(preds)
+        callees: dict[str, set[str]] = {}
+        returns: dict[int, list[str]] = {}
+        for e in self.call_edges:
+            up.setdefault(e.return_block, set()).add(e.call_block)
+            callees.setdefault(e.caller, set()).add(e.callee)
+            returns.setdefault(e.return_block, []).append(e.callee)
+        reach = {name: _closure(name, callees) for name in self.functions}
+        entered = {name for name, cs in callees.items() if any(name in reach[c] for c in cs)}
+        for e in self.call_edges:
+            before = {c for b in _closure(e.call_block, up) for c in returns.get(b, ())}
+            entered |= reach[e.callee] & set().union(*(reach[c] for c in before))
+        owners: dict[int, int] = {}
+        for fn in self.functions.values():
+            for b in fn.block_offsets:
+                owners[b] = owners.get(b, 0) + 1
+        out = {b for b, n in owners.items() if n > 1} | _cyclic(up)
+        for name in entered:
+            out |= self.functions[name].block_offsets
+        return frozenset(out)
+
     def to_json(self) -> str:
         doc = {
             "origin": self.origin,
@@ -268,6 +302,55 @@ def _reachable(blocks: dict[int, BasicBlock], entry: int,
         succ[off] = sorted(set(nexts))
         frontier.extend(nexts)
     return owned, succ
+
+
+def _closure(start, graph: dict) -> set:
+    """`start` and every node reachable from it in `graph`."""
+    seen, work = {start}, [start]
+    while work:
+        for n in graph.get(work.pop(), ()):
+            if n not in seen:
+                seen.add(n)
+                work.append(n)
+    return seen
+
+
+def _cyclic(graph: dict[int, set[int]]) -> set[int]:
+    """The nodes on a cycle of `graph`: Tarjan's strongly connected
+    components, with an explicit stack."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    out: set[int] = set()
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(graph.get(w, ()))))
+                    break
+                if w in low:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        del low[w]
+                    if len(comp) > 1 or v in graph.get(v, ()):
+                        out.update(comp)
+    return out
 
 
 def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:

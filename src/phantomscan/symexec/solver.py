@@ -36,10 +36,12 @@ from .values import (
     SymValue,
     atoms,
     connective_kids,
+    digest,
     evaluate,
     linear_sum,
     order_key,
     render,
+    term_text,
 )
 
 DEFAULT_NODE_BUDGET = 4096
@@ -369,7 +371,14 @@ def _smt_sort(sort: str) -> str:
 
 
 def _smt_name(s: SymValue) -> str:
-    return f"|{s}|"
+    """`|text|`, or a digest for a storage atom whose text a quoted symbol
+    cannot hold (`|`, `\\`) or runs past 1,024 characters (shared keys)."""
+    if not isinstance(s, StorageSym):
+        return f"|{s}|"
+    name = term_text(s, 1025)
+    if len(name) > 1024 or "|" in name or "\\" in name:
+        name = f"{s.var}[#{digest(s).hex()}]#v{s.version}{s.tag}"
+    return f"|{name}|"
 
 
 _SMT_BOOL = {"&&": "and", "||": "or"}
@@ -470,8 +479,8 @@ def export_smtlib(conjuncts: list[SymValue]) -> str:
     """SMT-LIB 2 rendering of the conjunction, for external solvers."""
     declared: dict[str, str] = {}
     for c in conjuncts:
-        for s in sorted(atoms(c), key=str):
-            declared.setdefault(_smt_name(s), _smt_sort(s.sort))
+        for name, sort in sorted((_smt_name(s), _smt_sort(s.sort)) for s in atoms(c)):
+            declared.setdefault(name, sort)
     lines = ["(set-logic QF_BV)"]
     for name in sorted(declared):
         lines.append(f"(declare-const {name} {declared[name]})")

@@ -121,7 +121,7 @@ class _Node(SymValue):
         return render(self, _repr_parts, repr)
 
     def __str__(self):
-        return render(self, lambda x: x._text() if isinstance(x, _Node) else None, str)
+        return term_text(self)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -355,6 +355,11 @@ def render(v, parts, leaf, limit=inf) -> str:
         out.append(x)
         size += len(x)
     return "".join(out)
+
+
+def term_text(v, limit=inf) -> str:
+    """`str(v)`, or its first `limit` characters and a few more."""
+    return render(v, lambda x: x._text() if isinstance(x, _Node) else None, str, limit)
 
 
 def _repr_parts(x):

@@ -1,10 +1,10 @@
 """Backward taint analysis from LOG sites over the lifted ICFG.
 
-For every LOG instruction the engine enumerates acyclic reverse paths
-to function entries, depth-first on an explicit stack with no depth
-limit (its one budget is the path count, and hitting it marks findings
-INCOMPLETE), tracks which logged values derive from transaction input
-(calldata, caller, call value), and flags two situations:
+For every LOG instruction the engine walks reverse paths to function
+entries with no depth limit, carrying which logged values derive from
+transaction input (calldata, caller, call value); a walk stops where a
+finished one left the same state, so a site yields one path per
+distinct (entry, state).  It flags two situations:
 
 * a logged value flows straight from input to the log with no
   taint-related storage write on the way (the contract records nothing
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 from .evm.opcodes import ENTRY_POINT_OPS, EXTERNAL_CALLS
 from .lifter.functions import Icfg
-from .lifter.tac import TacInstruction
+from .lifter.tac import TacInstruction, extern_var
 
 DYNAMIC_SIGNATURE = "DYNAMIC_SIGNATURE"
 
-DEFAULT_MAX_PATHS = 256
+MAX_PATHS = 256  # completed paths per LOG site; past it the event's findings are INCOMPLETE
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class PathSlice:
     entry_function: str
     entry_block: int
     crossed_functions: tuple[str, ...]
+    verdicts: frozenset[str] = frozenset()  # `_Walk.seen` at the entry, plus "unchecked"
 
     @property
     def block_trace(self) -> tuple[tuple[str, int], ...]:
@@ -230,28 +231,74 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int) -> list[tuple[int | 
 
 
 # --------------------------------------------------------------------------
-# backward slicing
+# the reverse walk
 # --------------------------------------------------------------------------
 
-def backward_slice(
-    icfg: Icfg,
-    logop: LogOp,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> tuple[list[PathSlice], bool]:
-    """All acyclic reverse paths from the log site to function entries.
+class _Walk:
+    """One path's taint state, changed in place: the tainted value keys,
+    the verdicts `seen` ("source": a tainted entry-point read, "anchor": a
+    taint-related SSTORE, "call": an external call) and, per verdict, the
+    keys `waiting` whose taint decides it.  `kept` repeats, tagged, the
+    keys for which `reread` holds (those a later block visit can read
+    again) and the entry slots bridged into such blocks.  Additions go on
+    `trail`."""
 
-    Returns (paths, budget_exceeded).  Each directed edge is crossed at
-    most once per path, which bounds loop bodies to a single unrolling
-    and a path's length to the number of edges, so there is no depth
-    limit.  The walk is depth-first on an explicit stack and tries
-    predecessors, then return edges, then call edges; a path ends at an
-    entry only after every longer path through that entry is done.
+    def __init__(self, value_keys: dict[str, tuple], seed: tuple[str, ...],
+                 reread=None) -> None:
+        self.value_keys, self.trail, self.seen, self.kept = value_keys, [], set(), set()
+        self.taint = {_key(v, value_keys) for v in seed}
+        self.waiting: dict[str, set] = {"source": set(), "anchor": set()}
+        self.reread = reread
 
-    Paths share their common part through (segment, rest) links and are
-    flattened once, at the entry.  The edges in use and the entry-stack
-    slots still to bridge are one set and one dict for the whole walk,
-    restored from an undo trail on backtracking.
-    """
+    def add(self, members: set, new) -> None:
+        new = [m for m in new if m not in members]
+        members.update(new)
+        self.trail += [(members, m) for m in new]
+
+    def keep(self, tag: str, keys) -> None:
+        if self.reread:
+            self.add(self.kept, [(tag, k) for k in keys if self.reread(k)])
+
+    def step(self, instrs: list[TacInstruction]) -> None:
+        """The single-pass rule: an instruction touching a tainted value
+        key taints all of its keys (SEGMENT and ENTRY have only one)."""
+        for t in instrs:
+            keys = {_key(v, self.value_keys) for v in t.variables}
+            new = keys - self.taint
+            if new and len(new) < len(keys):
+                self.add(self.taint, new)
+                self.keep("taint", new)
+                self.add(self.seen, [v for v, w in self.waiting.items() if not new.isdisjoint(w)])
+            if t.op in EXTERNAL_CALLS:
+                self.add(self.seen, ["call"])
+            elif t.op == "SSTORE" or t.op in ENTRY_POINT_OPS and t.defs:
+                verdict = "anchor" if t.op == "SSTORE" else "source"
+                watched = keys if t.op == "SSTORE" else {_key(t.defs[0], self.value_keys)}
+                self.add(self.waiting[verdict], watched)
+                self.keep(verdict, watched)
+                if watched & self.taint:
+                    self.add(self.seen, [verdict])
+
+
+def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
+    """Reverse paths from the log site to function entries, one per
+    distinct (entry, state), each with its `_Walk` verdicts; and whether
+    MAX_PATHS ran out.  Depth-first, the walk tries predecessors, then
+    return edges, then call edges, crossing each edge at most once per
+    path.  It stops at a block in a state a finished walk left there:
+    call context, entry slots to bridge, and the state a later step can
+    read (environment keys, the block's entry slots, and the taint and
+    bridged slots of `icfg.revisitable` blocks, which one path can visit
+    twice).  A walk is recorded as finished only if nothing below it read
+    what the state leaves out: an edge its path had crossed before, or,
+    for `_unchecked_external_call`, a whole untainted path through an
+    external call.  Paths share their common part through (segment,
+    rest) links."""
+    value_keys = build_value_keys(icfg)
+    env = set(value_keys.values())
+    revisitable = icfg.revisitable
+    names = {v for off in revisitable for t in icfg.lifted[off].tac for v in t.variables}
+    suffixes = {f"{off:#x}" for off in revisitable}
     tac = icfg.lifted[logop.block].tac
     log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
     prefix: list[TacInstruction] = [
@@ -260,49 +307,79 @@ def backward_slice(
         *logop.synthetic,
         *reversed(tac[:log_idx]),
     ]
+    walk = _Walk(value_keys, logop.seed_vars, revisitable and (
+        lambda key: key[0] == "v" and (key[1] in names or key[1].partition("@")[2] in suffixes)))
+    walk.step(prefix)
 
     paths: list[PathSlice] = []
     edges_used: set[tuple] = set()
+    crossed_at: dict[tuple, int] = {}  # edge -> trail mark of the visit that crossed it
     pending: dict[int, set[int]] = {}
-    trail: list[tuple[set, object]] = []  # (set, member) added by each crossing
-    # ("visit", fn, block, context, link) | ("cross", block, link, pred_fn,
-    # pred_block, context, edge_key) | ("undo", trail mark) | ("entry", fn, block, link)
+    done: set[tuple] = set()
+    owns: dict[int, set] = {}  # block -> value keys of the entry slots its code names
+    low: list[int] = []  # per open visit: the lowest trail mark its subtree read below
+    # ("visit", fn, block, context, link) | ("cross", block, link, mark, pred_fn,
+    # pred_block, context, edge_key) | ("undo", mark) | ("finish", state, block, mark)
+    # | ("entry", fn, block, link)
     stack: list[tuple] = [("visit", logop.function, logop.block, (), (prefix, None))]
 
     while stack:
         item = stack.pop()
         kind = item[0]
         if kind == "undo":
-            while len(trail) > item[1]:
-                members, member = trail.pop()
+            while len(walk.trail) > item[1]:
+                members, member = walk.trail.pop()
                 members.discard(member)
+        elif kind == "finish":
+            _, state, block, mark = item
+            below = low.pop()
+            if low:
+                low[-1] = min(low[-1], below)
+            if below >= mark:
+                done.add(state)
         elif kind == "cross":
-            _, block, link, pred_fn, pred_block, context, edge_key = item
+            _, block, link, mark, pred_fn, pred_block, context, edge_key = item
             if edge_key in edges_used:
+                low[-1] = min(low[-1], crossed_at[edge_key])
                 continue
-            stack.append(("undo", len(trail)))
-            edges_used.add(edge_key)
-            trail.append((edges_used, edge_key))
+            crossed_at[edge_key] = mark
+            stack.append(("undo", len(walk.trail)))
+            walk.add(edges_used, [edge_key])
             plb = icfg.lifted[pred_block]
-            slots = pending.setdefault(pred_block, set())
-            seg: list[TacInstruction] = []
-            for k in sorted(set(range(icfg.lifted[block].extern_consumed))
-                            | pending.get(block, set())):
-                src = plb.exit_var(k)
-                seg.append(TacInstruction(pc=block, op="PHI",
-                                          defs=(f"S{k}@{block:#x}",), uses=(src,)))
-                slot = plb.entry_slot(src)
-                if slot is not None and slot not in slots:
-                    slots.add(slot)
-                    trail.append((slots, slot))
+            slots = sorted(set(range(icfg.lifted[block].extern_consumed)) | pending.get(block, set()))
+            srcs = {k: plb.exit_var(k) for k in slots}
+            bridged = {plb.entry_slot(src) for src in srcs.values()} - {None}
+            walk.add(pending.setdefault(pred_block, set()), bridged)
+            if pred_block in revisitable:
+                walk.keep("slot", [("v", extern_var(pred_block, k)) for k in bridged])
+            seg = [TacInstruction(pc=block, op="PHI", defs=(f"S{k}@{block:#x}",), uses=(src,))
+                   for k, src in srcs.items()]
             seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
             seg += reversed(plb.tac)
+            walk.step(seg)
             stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
         elif kind == "visit":
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
             if block in fn.lift_failed:
                 continue
+            bridge = frozenset(pending.get(block, ()))
+            if block not in owns:
+                owns[block] = {("v", v) for t in icfg.lifted[block].tac for v in t.variables
+                               if v[0] == "S"}
+            own = owns[block].union(("v", extern_var(block, k)) for k in bridge)
+
+            def live(members: set) -> frozenset:
+                return frozenset(env & members | own & members)
+
+            state = (fn_name, block, context, bridge, "call" in walk.seen, live(walk.taint),
+                     *(v in walk.seen or live(w) for v, w in walk.waiting.items()),
+                     frozenset(k for k in walk.kept if k[0] not in walk.seen))
+            if state in done:
+                continue
+            mark = len(walk.trail)
+            low.append(mark)
+            stack.append(("finish", state, block, mark))
             moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
                      for pred in fn.pred.get(block, [])]
             for edge in icfg.return_edges_at(fn_name, block):
@@ -320,10 +397,10 @@ def backward_slice(
                 moves += [(edge.caller, edge.call_block, context,
                            ("call", edge.caller, edge.call_block, fn_name))
                           for edge in callers]
-            stack += [("cross", block, link, *move) for move in reversed(moves)]
+            stack += [("cross", block, link, mark, *move) for move in reversed(moves)]
         else:
             _, fn_name, block, link = item
-            if len(paths) >= max_paths:
+            if len(paths) >= MAX_PATHS:
                 return paths, True
             segments = []
             while link is not None:
@@ -338,7 +415,12 @@ def backward_slice(
                 entry_function=fn_name,
                 entry_block=block,
                 crossed_functions=tuple(sorted(traversed - {fn_name})),
+                verdicts=frozenset(walk.seen),
             ))
+            if "call" in walk.seen and "source" not in walk.seen:
+                low[-1] = -1  # the unchecked-call rule reads the whole path
+                if _unchecked_external_call(paths[-1], walk.taint, value_keys):
+                    paths[-1].verdicts |= {"unchecked"}
     return paths, False
 
 
@@ -348,27 +430,20 @@ def backward_slice(
 
 def taint_analysis(slice_: PathSlice, value_keys: dict[str, tuple],
                    seed: tuple[str, ...] | None = None) -> TaintResult:
-    """Single reverse pass: any instruction touching a tainted value key
-    taints all of its keys.  Sources are entry-point reads whose result
-    ends up in the final taint set."""
-    seed = seed if seed is not None else slice_.logop.seed_vars
-    taint: set = {_key(v, value_keys) for v in seed}
-    for t in slice_.instrs:
-        if t.op in ("SEGMENT", "ENTRY"):
-            continue
-        keys = {_key(v, value_keys) for v in t.variables}
-        if keys & taint:
-            taint |= keys
+    """The walk's single reverse pass over one flattened path.  Sources
+    are entry-point reads whose result ends up in the final taint set."""
+    walk = _Walk(value_keys, slice_.logop.seed_vars if seed is None else seed)
+    walk.step(slice_.instrs)
 
     sources: list[tuple[str, int | None]] = []
     for t in slice_.instrs:
         if t.op not in ENTRY_POINT_OPS or not t.defs:
             continue
         key = _key(t.defs[0], value_keys)
-        if key in taint:
+        if key in walk.taint:
             # a CALLDATALOAD of a constant offset is keyed by that offset
             sources.append((t.op, key[1] if key[0] == "CALLDATALOAD" else None))
-    return TaintResult(tainted=bool(sources), taint_keys=taint, sources=sources)
+    return TaintResult(tainted=bool(sources), taint_keys=walk.taint, sources=sources)
 
 
 def _related_fixpoint(instrs: list[TacInstruction], start: set,
@@ -378,8 +453,6 @@ def _related_fixpoint(instrs: list[TacInstruction], start: set,
     while changed:
         changed = False
         for t in instrs:
-            if t.op in ("SEGMENT", "ENTRY"):
-                continue
             keys = {_key(v, value_keys) for v in t.variables}
             if keys & related and not keys <= related:
                 related |= keys
@@ -390,16 +463,6 @@ def _related_fixpoint(instrs: list[TacInstruction], start: set,
 # --------------------------------------------------------------------------
 # detection
 # --------------------------------------------------------------------------
-
-def _has_taint_related_sstore(slice_: PathSlice, taint: set,
-                              value_keys: dict[str, tuple]) -> bool:
-    for t in slice_.instrs:
-        if t.op == "SSTORE" and (
-            _key(t.uses[0], value_keys) in taint or _key(t.uses[1], value_keys) in taint
-        ):
-            return True
-    return False
-
 
 def _unchecked_external_call(slice_: PathSlice, taint: set,
                              value_keys: dict[str, tuple]) -> bool:
@@ -436,10 +499,8 @@ def _path_summary(slice_: PathSlice) -> str:
     return f"{slice_.entry_function} [{blocks}] log@{slice_.logop.pc:#x}"
 
 
-def detect(icfg: Icfg, sigdb=None, max_paths: int = DEFAULT_MAX_PATHS,
-           strict_eq2: bool = False) -> list[BytecodeFinding]:
+def detect(icfg: Icfg, sigdb=None, strict_eq2: bool = False) -> list[BytecodeFinding]:
     """Run the full bytecode-level analysis and return sorted findings."""
-    value_keys = build_value_keys(icfg)
     logops = extract_log_ops(icfg)
 
     tainted_by_event: dict[int | None, list[PathSlice]] = {}
@@ -448,16 +509,15 @@ def detect(icfg: Icfg, sigdb=None, max_paths: int = DEFAULT_MAX_PATHS,
     incomplete_events: set = set()
 
     for logop in logops:
-        slices, exceeded = backward_slice(icfg, logop, max_paths=max_paths)
+        slices, exceeded = backward_slice(icfg, logop)
         if exceeded:
             incomplete_events.add(logop.topic0)
         for sl in slices:
-            result = taint_analysis(sl, value_keys)
-            if result.tainted:
+            if "source" in sl.verdicts:
                 tainted_by_event.setdefault(logop.topic0, []).append(sl)
-                if not strict_eq2 and not _has_taint_related_sstore(sl, result.taint_keys, value_keys):
+                if not strict_eq2 and "anchor" not in sl.verdicts:
                     il_by_event.setdefault(logop.topic0, []).append(sl)
-            elif _unchecked_external_call(sl, result.taint_keys, value_keys):
+            elif "unchecked" in sl.verdicts:
                 nocheck_by_event.setdefault(logop.topic0, []).append(sl)
 
     def event_name(topic0):

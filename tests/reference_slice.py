@@ -1,0 +1,181 @@
+"""The bytecode layer's former exhaustive path search, kept as a test oracle.
+
+`reference_slice` lists every acyclic reverse path from a LOG site to a
+function entry, crossing each directed edge at most once per path, and
+`reference_detect` runs the single-pass taint rule over each listed path
+on its own.  The path count doubles with every independent branch or
+helper call in front of a LOG, so the search stops after `max_paths`
+paths and marks the event's findings INCOMPLETE.
+"""
+
+from phantomscan.evm.opcodes import ENTRY_POINT_OPS
+from phantomscan.lifter.tac import TacInstruction
+from phantomscan.taint import (
+    BytecodeFinding,
+    PathSlice,
+    _event_label,
+    _key,
+    _path_summary,
+    _unchecked_external_call,
+    build_value_keys,
+    extract_log_ops,
+)
+
+MAX_PATHS = 256
+
+
+def reference_slice(icfg, logop, max_paths=MAX_PATHS):
+    """(every reverse path as a PathSlice, budget exceeded), in the order
+    of a depth-first walk that tries predecessors, then return edges,
+    then call edges."""
+    tac = icfg.lifted[logop.block].tac
+    log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
+    prefix = [
+        TacInstruction(pc=logop.block, op="SEGMENT", defs=(logop.function,)),
+        tac[log_idx],
+        *logop.synthetic,
+        *reversed(tac[:log_idx]),
+    ]
+
+    paths = []
+    edges_used = set()
+    pending = {}
+    trail = []  # (set, member) added by each crossing
+    stack = [("visit", logop.function, logop.block, (), (prefix, None))]
+
+    while stack:
+        item = stack.pop()
+        kind = item[0]
+        if kind == "undo":
+            while len(trail) > item[1]:
+                members, member = trail.pop()
+                members.discard(member)
+        elif kind == "cross":
+            _, block, link, pred_fn, pred_block, context, edge_key = item
+            if edge_key in edges_used:
+                continue
+            stack.append(("undo", len(trail)))
+            edges_used.add(edge_key)
+            trail.append((edges_used, edge_key))
+            plb = icfg.lifted[pred_block]
+            slots = pending.setdefault(pred_block, set())
+            seg = []
+            for k in sorted(set(range(icfg.lifted[block].extern_consumed))
+                            | pending.get(block, set())):
+                src = plb.exit_var(k)
+                seg.append(TacInstruction(pc=block, op="PHI",
+                                          defs=(f"S{k}@{block:#x}",), uses=(src,)))
+                slot = plb.entry_slot(src)
+                if slot is not None and slot not in slots:
+                    slots.add(slot)
+                    trail.append((slots, slot))
+            seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
+            seg += reversed(plb.tac)
+            stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
+        elif kind == "visit":
+            _, fn_name, block, context, link = item
+            fn = icfg.functions[fn_name]
+            if block in fn.lift_failed:
+                continue
+            moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
+                     for pred in fn.pred.get(block, [])]
+            for edge in icfg.return_edges_at(fn_name, block):
+                for exit_block in icfg.callee_exit_blocks(edge):
+                    moves.append((edge.callee, exit_block, context + (edge,),
+                                  ("ret", edge.caller, edge.call_block, exit_block)))
+            if block == fn.entry:
+                if context:
+                    callers = [context[-1]] if context[-1].callee == fn_name else []
+                    context = context[:-1]
+                else:
+                    callers = icfg.edges_into(fn_name)
+                    if not callers:
+                        stack.append(("entry", fn_name, block, link))
+                moves += [(edge.caller, edge.call_block, context,
+                           ("call", edge.caller, edge.call_block, fn_name))
+                          for edge in callers]
+            stack += [("cross", block, link, *move) for move in reversed(moves)]
+        else:
+            _, fn_name, block, link = item
+            if len(paths) >= max_paths:
+                return paths, True
+            segments = []
+            while link is not None:
+                seg, link = link
+                segments.append(seg)
+            instrs = [t for seg in reversed(segments) for t in seg]
+            instrs.append(TacInstruction(pc=block, op="ENTRY", defs=(fn_name,)))
+            traversed = {t.defs[0] for t in instrs if t.op == "SEGMENT"}
+            paths.append(PathSlice(
+                logop=logop,
+                instrs=instrs,
+                entry_function=fn_name,
+                entry_block=block,
+                crossed_functions=tuple(sorted(traversed - {fn_name})),
+            ))
+    return paths, False
+
+
+def reference_taint(path, value_keys):
+    """(tainted, final taint set): any instruction touching a tainted value
+    key taints all of its keys; the path is tainted when an entry-point
+    read ends up in the final set."""
+    taint = {_key(v, value_keys) for v in path.logop.seed_vars}
+    for t in path.instrs:
+        if t.op in ("SEGMENT", "ENTRY"):
+            continue
+        keys = {_key(v, value_keys) for v in t.variables}
+        if keys & taint:
+            taint |= keys
+    tainted = any(t.op in ENTRY_POINT_OPS and t.defs and _key(t.defs[0], value_keys) in taint
+                  for t in path.instrs)
+    return tainted, taint
+
+
+def _anchored(path, taint, value_keys):
+    return any(t.op == "SSTORE" and (_key(t.uses[0], value_keys) in taint
+                                     or _key(t.uses[1], value_keys) in taint)
+               for t in path.instrs)
+
+
+def reference_detect(icfg, sigdb=None, max_paths=MAX_PATHS):
+    """(sorted findings from the three path rules, each path judged alone;
+    the topics whose log sites ran out of paths)."""
+    value_keys = build_value_keys(icfg)
+    tainted_by_event, il_by_event, nocheck_by_event = {}, {}, {}
+    incomplete = set()
+    for logop in extract_log_ops(icfg):
+        paths, exceeded = reference_slice(icfg, logop, max_paths)
+        if exceeded:
+            incomplete.add(logop.topic0)
+        for path in paths:
+            tainted, taint = reference_taint(path, value_keys)
+            if tainted:
+                tainted_by_event.setdefault(logop.topic0, []).append(path)
+                if not _anchored(path, taint, value_keys):
+                    il_by_event.setdefault(logop.topic0, []).append(path)
+            elif _unchecked_external_call(path, taint, value_keys):
+                nocheck_by_event.setdefault(logop.topic0, []).append(path)
+
+    def finding(kind, condition, topic0, entries, paths):
+        sig = sigdb.topic_signature(topic0) if (sigdb and topic0 is not None) else None
+        return BytecodeFinding(
+            kind=kind, condition=condition, topic0=topic0, event=_event_label(topic0, sig),
+            contract=icfg.origin,
+            confidence="INCOMPLETE" if topic0 in incomplete else "POTENTIAL",
+            entries=tuple(sorted(entries)), paths=tuple(_path_summary(p) for p in paths),
+        )
+
+    findings = []
+    for topic0, paths in il_by_event.items():
+        findings.append(finding("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", topic0,
+                                {p.entry_function for p in paths}, paths))
+    for topic0, paths in tainted_by_event.items():
+        public = {p.entry_function for p in paths if icfg.functions[p.entry_function].is_public}
+        if len(public) > 1:
+            findings.append(finding("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", topic0,
+                                    public, paths))
+    for topic0, paths in nocheck_by_event.items():
+        findings.append(finding("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL", topic0,
+                                {p.entry_function for p in paths}, paths))
+    return sorted(findings, key=BytecodeFinding.sort_key), incomplete

@@ -31,10 +31,13 @@ class _Overrun(Exception):
 
 @contextmanager
 def _time_box(seconds: float):
-    """Turn a hang into an exception instead of a stuck test run."""
+    """Turn a hang into an exception instead of a stuck test run, and a
+    block that ran past the bound into a failure even when something
+    (such as a gc callback) swallowed the alarm's exception."""
     def expire(*_):
         raise _Overrun(f"no result within {seconds} s")
 
+    start = time.perf_counter()
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
@@ -42,6 +45,9 @@ def _time_box(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    if elapsed > seconds:
+        raise _Overrun(f"took {elapsed:.2f} s, over the {seconds} s bound")
 
 
 def _random_code(rng: random.Random) -> bytes:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -218,6 +219,29 @@ class TestSmtExport:
         a = BinOp(">", X, lit(1))
         assert "(assert (let ((?s0 (bvugt |x| (_ bv1 256)))) (or ?s0 ?s0)))" in \
             export_smtlib([BinOp("||", a, a)])
+
+    @staticmethod
+    def _guard_text(*body: str) -> str:
+        c = minisol.load("contract C { event E(uint256 v); mapping(bool => uint256) m;\n"
+                         "function f(uint256 x, uint256 y) external {\n"
+                         + "\n".join(body) + "\nemit E(x); } }")
+        (path,) = search_paths(c, "f").paths
+        with _time_box(1.0):
+            return export_smtlib(list(path.conjuncts))
+
+    def test_mapping_read_keyed_by_a_disjunction_gets_a_valid_name(self):
+        # a quoted symbol cannot hold `|`, which the key's `||` would put there
+        text = self._guard_text("bool b = x > 1 || y > 2;", "require(m[b] > 3);")
+        (name,) = re.findall(r"\(declare-const (\|m.*\|) ", text)
+        assert re.fullmatch(r"\|m\[#[0-9a-f]{32}\]#v0\|", name)
+        assert f"(bvugt {name} (_ bv3 256))" in text
+        assert re.findall(r"\(declare-const (\S+) ", text) == [name, "|x|", "|y|"]
+
+    def test_mapping_read_keyed_by_a_shared_formula_exports_in_time(self):
+        # written out, the key is a tree of 2^40 leaves
+        text = self._guard_text("bool b = x > 1;", *["b = b || b;"] * 40, "require(m[b] > 3);")
+        assert re.search(r"\(declare-const \|m\[#[0-9a-f]{32}\]#v0\| \(_ BitVec 256\)\)", text)
+        assert len(text) < 2_000
 
     def test_export_is_deterministic(self):
         conjuncts = [BinOp("<", X, Y), BinOp("!=", Y, Z)]

@@ -1,5 +1,8 @@
 """Backward slicing, taint propagation, and the bytecode detectors."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +22,8 @@ from phantomscan.taint import (
     extract_log_ops,
     taint_analysis,
 )
-from test_fuzz import _time_box, assemble
+from reference_slice import reference_detect, reference_slice
+from test_fuzz import _random_call_code, _random_code, _time_box, assemble
 
 FIXTURES = ["counterfeit", "inconsistent", "inconsistent_safe",
             "emit_helper", "nocheck_call", "checked_call"]
@@ -146,10 +150,11 @@ class TestBackwardSlice:
             (("fallback", 0x7), ("fallback", 0x0), ("fallback", 0x0)),
         }
 
-    def test_path_budget_flags_incomplete(self):
+    def test_path_budget_flags_incomplete(self, monkeypatch):
         icfg, _ = icfg_for("emit_helper")
         op = next(o for o in extract_log_ops(icfg) if o.function == "helper_0x49")
-        slices, exceeded = backward_slice(icfg, op, max_paths=1)
+        monkeypatch.setattr(taint, "MAX_PATHS", 1)
+        slices, exceeded = backward_slice(icfg, op)
         assert exceeded
         assert len(slices) == 1
 
@@ -170,10 +175,10 @@ class TestTaintPropagation:
         vk = build_value_keys(icfg)
         op, = extract_log_ops(icfg)
         slices, _ = backward_slice(icfg, op)
+        assert slices
         for s in slices:
-            r = taint_analysis(s, vk)
-            assert r.tainted
-            assert taint._has_taint_related_sstore(s, r.taint_keys, vk)
+            assert taint_analysis(s, vk).tainted
+            assert {"source", "anchor"} <= s.verdicts
 
     def test_sources_report_calldata_slots(self):
         icfg, _ = icfg_for("counterfeit")
@@ -264,9 +269,10 @@ class TestDetection:
             icfg, sigdb = icfg_for(name)
             assert detect(icfg, sigdb=sigdb) == detect(icfg, sigdb=sigdb), name
 
-    def test_budget_exhaustion_degrades_confidence(self):
+    def test_budget_exhaustion_degrades_confidence(self, monkeypatch):
         icfg, sigdb = icfg_for("emit_helper")
-        findings = detect(icfg, sigdb=sigdb, max_paths=1)
+        monkeypatch.setattr(taint, "MAX_PATHS", 1)
+        findings = detect(icfg, sigdb=sigdb)
         assert findings
         assert all(f.confidence == "INCOMPLETE" for f in findings)
 
@@ -363,8 +369,9 @@ class TestNoDepthLimit:
 
     def test_paths_come_out_in_walk_order_and_share_edges(self):
         # an entry block falls into a branch whose two arms join at the LOG:
-        # both reverse paths cross the edge out of the entry block, lower
-        # predecessor first
+        # the walk tries the lower predecessor first, and the other arm
+        # reaches the branch block in the state the first walk finished
+        # there, so it stops where the two paths would share their edges
         code = assemble([
             ("PUSH1", 4), "CALLDATALOAD",
             ("label", "branch"), "JUMPDEST", ("PUSH1", 0), "CALLDATALOAD",
@@ -378,7 +385,8 @@ class TestNoDepthLimit:
         op, = extract_log_ops(icfg)
         slices, exceeded = backward_slice(icfg, op)
         assert not exceeded
-        assert [[b for _, b in s.block_trace] for s in slices] == [
+        assert [[b for _, b in s.block_trace] for s in slices] == [[0x10, 0xB, 0x3, 0x0]]
+        assert [[b for _, b in s.block_trace] for s in reference_slice(icfg, op)[0]] == [
             [0x10, 0xB, 0x3, 0x0],
             [0x10, 0xF, 0x3, 0x0],
         ]
@@ -411,3 +419,287 @@ class TestNoDepthLimit:
             ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", entries, "POTENTIAL"),
         ]
 
+
+# --------------------------------------------------------------------------
+# branches and repeated calls in front of a LOG
+# --------------------------------------------------------------------------
+
+def one_function(body: list) -> Bytecode:
+    """A size guard and a one-selector dispatcher into `body`, labelled f."""
+    return Bytecode(code=assemble([
+        ("PUSH1", 0x80), ("PUSH1", 0x40), "MSTORE",
+        ("PUSH1", 4), "CALLDATASIZE", "LT", ("pushl", "revert"), "JUMPI",
+        ("PUSH1", 0), "CALLDATALOAD", ("PUSH1", 0xE0), "SHR",
+        "DUP1", ("PUSH4", SELECTOR_BASE), "EQ", ("pushl", "f"), "JUMPI",
+        ("label", "revert"), "JUMPDEST", ("PUSH1", 0), ("PUSH1", 0), "REVERT",
+        ("label", "f"), "JUMPDEST", *body,
+    ]))
+
+
+def diamonds(k: int, carry: bool = False, sstore: bool = False) -> Bytecode:
+    """k independent JUMPI diamonds on calldata flags, then a LOG1 of
+    calldata word 4, as in the benchmark's diamond-k contracts.  With
+    `carry` the word is loaded first and every arm reads it from the
+    stack, as compiled code keeps values there; with `sstore` it is
+    also written to storage."""
+    body = [("PUSH1", 4), "CALLDATALOAD", ("PUSH1", 7), "SSTORE"] if sstore else []
+    body += [("PUSH1", 4), "CALLDATALOAD"] if carry else []
+    arm = ["DUP1", "POP"] if carry else [("PUSH1", 0x55), "POP"]
+    for i in range(k):
+        body += [("PUSH2", 0x24 + 0x20 * i), "CALLDATALOAD", ("pushl", f"t{i}"), "JUMPI",
+                 *arm, ("pushl", f"j{i}"), "JUMP",
+                 ("label", f"t{i}"), "JUMPDEST", *arm,
+                 ("label", f"j{i}"), "JUMPDEST"]
+    body += [] if carry else [("PUSH1", 4), "CALLDATALOAD"]
+    return one_function(body + [("PUSH1", 0), "MSTORE", *log1_of_word0("Settled(uint256)"), "STOP"])
+
+
+def repeated_calls(n: int) -> Bytecode:
+    """A function that passes its argument through n calls of a one-block
+    helper (which adds 1) and logs the result without a storage write."""
+    body = [("PUSH1", 4), "CALLDATALOAD"]
+    for i in range(n):
+        body += [("pushl", f"r{i}"), "SWAP1", ("pushl", "helper"), "JUMP",
+                 ("label", f"r{i}"), "JUMPDEST"]
+    body += [("PUSH1", 0), "MSTORE", *log1_of_word0("Stepped(uint256)"), "STOP",
+             ("label", "helper"), "JUMPDEST", ("PUSH1", 1), "ADD", "SWAP1", "JUMP"]
+    return one_function(body)
+
+
+def same_as_reference(icfg, sigdb=None) -> bool:
+    """detect and the exhaustive per-path search give the same findings on
+    every event whose log sites the search finished; False when there is
+    no such event."""
+    ref, incomplete = reference_detect(icfg, sigdb)
+
+    def summary(findings):
+        return [(f.kind, f.condition, f.topic0, f.entries, f.confidence)
+                for f in findings if f.topic0 not in incomplete]
+
+    assert summary(detect(icfg, sigdb=sigdb)) == summary(ref)
+    return not incomplete
+
+
+UNANCHORED = [("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE",
+               (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
+
+
+class TestJoinsAndRepeatedCalls:
+    @pytest.mark.parametrize("code,paths", [
+        pytest.param(diamonds(16), 1, id="diamonds-16"),
+        pytest.param(diamonds(9, carry=True), 1, id="carried-diamonds-9"),
+        pytest.param(diamonds(16, carry=True), 1, id="carried-diamonds-16"),
+        pytest.param(repeated_calls(9), 2, id="calls-9"),
+        pytest.param(repeated_calls(16), 2, id="calls-16"),
+    ])
+    def test_exponentially_many_paths_give_a_complete_finding(self, code, paths):
+        # 2^k reverse paths: branches that join, and call sites each
+        # reachable both through the helper and around it, are walked once
+        # per state, not once per path; the helper's own taint is part of
+        # the state, as a later call reads it again, so the calls give one
+        # path that never enters the helper and one that does
+        icfg = build_icfg(code)
+        with _time_box(2.0):
+            findings = detect(icfg)
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
+        assert len(findings[0].paths) == paths
+
+    @staticmethod
+    def branch(before: list, first: list, second: list, log: list) -> Bytecode:
+        """`before` in a block of its own, then a calldata flag chooses
+        between two arms that join before `log`; the walk tries `first`,
+        the fall-through arm, first."""
+        return one_function([
+            *before, ("label", "head"), "JUMPDEST",
+            ("PUSH2", 0x24), "CALLDATALOAD", ("pushl", "second"), "JUMPI",
+            *first, ("pushl", "join"), "JUMP",
+            ("label", "second"), "JUMPDEST", *second,
+            ("label", "join"), "JUMPDEST", ("PUSH1", 0), "MSTORE", *log, "STOP",
+            # takes (return label, argument) and returns argument + 1
+            ("label", "helper"), "JUMPDEST", "SWAP1", ("PUSH1", 1), "ADD", "SWAP1", "JUMP",
+        ])
+
+    @pytest.mark.parametrize("before,first,second,expected", [
+        # the argument sits below the return label, so only the walk through
+        # the helper's return edge reaches it: the second call's context is
+        # walked although the first left the helper in the same state
+        pytest.param(
+            [],
+            [("PUSH1", 7), ("pushl", "r1"), ("pushl", "helper"), "JUMP", ("label", "r1"), "JUMPDEST"],
+            [("PUSH1", 4), "CALLDATALOAD", ("pushl", "r2"), ("pushl", "helper"), "JUMP",
+             ("label", "r2"), "JUMPDEST"],
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE"), id="call-context"),
+        # a constant is logged; the second arm crosses an unchecked external call
+        pytest.param(
+            [("PUSH1", 42)],
+            [],
+            [*[("PUSH1", 0)] * 6, "GAS", "CALL", "POP"],
+            ("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL"), id="external-call"),
+        # the caller is logged; the first arm stores a caller read of its own,
+        # which counts only once the walk reaches the logged read above the
+        # branch, and the second arm stores nothing
+        pytest.param(
+            ["CALLER"],
+            ["CALLER", ("PUSH1", 7), "SSTORE"],
+            [],
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE"), id="undecided-sstore"),
+    ])
+    def test_arms_in_different_states_are_both_walked(self, before, first, second, expected):
+        icfg = build_icfg(self.branch(before, first, second, log1_of_word0("Paid(uint256)")))
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in detect(icfg)] == [
+            (*expected, (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
+        assert same_as_reference(icfg)
+
+    def test_a_checked_arm_does_not_hide_an_unchecked_one(self):
+        # an external call, then a branch whose first-walked arm checks the
+        # call's result and whose other arm does not: the second arm reaches
+        # the branch in the state the first left there, but the unchecked-call
+        # rule reads whole paths, so it is walked on
+        icfg = build_icfg(one_function([
+            *[("PUSH1", 0)] * 6, "GAS", "CALL",
+            ("PUSH2", 0x24), "CALLDATALOAD", ("pushl", "unchecked"), "JUMPI",
+            "DUP1", "ISZERO", ("pushl", "revert"), "JUMPI", ("pushl", "join"), "JUMP",
+            ("label", "unchecked"), "JUMPDEST",
+            ("label", "join"), "JUMPDEST", "POP", ("PUSH1", 42), ("PUSH1", 0), "MSTORE",
+            *log1_of_word0("Paid(uint256)"), "STOP",
+        ]))
+        findings = detect(icfg)
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == [
+            ("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL",
+             (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
+        assert same_as_reference(icfg)
+
+    def test_repeated_calls_resolve_to_each_call_site(self):
+        icfg = build_icfg(repeated_calls(9))
+        assert icfg.unresolved_jumps == 0
+        assert len(icfg.call_edges) == 9
+
+
+HELPER_BODIES = {  # take (return label, argument), return a new argument
+    "add": ["SWAP1", ("PUSH1", 1), "ADD", "SWAP1"],
+    "store": ["SWAP1", "DUP1", ("PUSH1", 5), "SSTORE", "SWAP1"],
+    "caller": ["SWAP1", "CALLER", "ADD", "SWAP1"],
+}
+STEPS = {
+    "one": [("PUSH1", 1), "ADD"],
+    "caller": ["CALLER", "ADD"],
+    "store": ["DUP1", ("PUSH1", 2), "SSTORE"],
+}
+
+
+def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0),)) -> Bytecode:
+    """One function that pushes `start`, changes that value by each of
+    `segments` and logs it.  A segment is a STEPS name, "inc" (the value
+    goes through a one-block helper with a HELPER_BODIES body), "side" (the
+    helper runs on a constant, whose result is dropped), or a triple
+    ("branch" | "loop", first, second): a calldata flag chooses between two
+    lists of segments, the fall-through `first` walked first; a loop head
+    leaves on another flag and runs the branch as its body."""
+    counter = itertools.count()
+
+    def emit(seg) -> list:
+        n = next(counter)
+        call = [("pushl", f"r{n}"), ("pushl", "helper"), "JUMP", ("label", f"r{n}"), "JUMPDEST"]
+        if seg in ("inc", "side"):
+            return call if seg == "inc" else [("PUSH1", 9), *call, "POP"]
+        if isinstance(seg, str):
+            return STEPS[seg]
+        kind, first, second = seg
+        first, second = ([x for s in arm for x in emit(s)] for arm in (first, second))
+        branch = [("PUSH2", 0x24 + 0x20 * (n % 3)), "CALLDATALOAD", ("pushl", f"s{n}"), "JUMPI"]
+        if kind == "branch":
+            return [*branch, *first, ("pushl", f"j{n}"), "JUMP", ("label", f"s{n}"), "JUMPDEST",
+                    *second, ("label", f"j{n}"), "JUMPDEST"]
+        return [("label", f"h{n}"), "JUMPDEST", ("PUSH1", 0x84), "CALLDATALOAD", ("pushl", f"o{n}"),
+                "JUMPI", *branch, *first, ("pushl", f"h{n}"), "JUMP", ("label", f"s{n}"), "JUMPDEST",
+                *second, ("pushl", f"h{n}"), "JUMP", ("label", f"o{n}"), "JUMPDEST"]
+
+    return one_function([*start, *(x for seg in segments for x in emit(seg)),
+                         ("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)"), "STOP",
+                         ("label", "helper"), "JUMPDEST", *HELPER_BODIES[helper], "JUMP"])
+
+
+def swapped(segments: list) -> list:
+    """`segments` with the two arms of every branch and loop exchanged."""
+    return [seg if isinstance(seg, str) else (seg[0], swapped(seg[2]), swapped(seg[1]))
+            for seg in segments]
+
+
+def random_segments(rng: random.Random) -> list:
+    def arm():
+        return [rng.choice(["one", "caller", "store", "inc", "side"])
+                for _ in range(rng.randrange(3))]
+    out = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.choice(["step", "branch", "loop"])
+        out += arm() if kind == "step" else [(kind, arm(), arm())]
+    return out
+
+
+class TestAgainstReference:
+    def test_fixtures(self):
+        for name in FIXTURES:
+            assert same_as_reference(*icfg_for(name)), name
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_diamonds(self, k):
+        for carry in (False, True):
+            for sstore in (False, True):
+                assert same_as_reference(build_icfg(diamonds(k, carry, sstore)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_repeated_calls(self, n):
+        assert same_as_reference(build_icfg(repeated_calls(n)))
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    def test_callers(self, helper):
+        for n in (1, 2, 5):
+            assert same_as_reference(build_icfg(callers(n, helper)))
+
+    def test_random_codes(self):
+        rng = random.Random(7)
+        complete = sum(same_as_reference(build_icfg(Bytecode(code=_random_code(rng))))
+                       for _ in range(1500))
+        assert complete > 1400
+
+    def test_random_call_codes(self):
+        rng = random.Random(11)
+        complete = sum(same_as_reference(build_icfg(Bytecode(code=_random_call_code(rng)[0])))
+                       for _ in range(60))
+        assert complete > 50
+
+    @pytest.mark.parametrize("order", ["as-written", "swapped"])
+    def test_loop_whose_body_branches(self, order):
+        # the loop head H joins the entry E and both arms A1 and A2 of the
+        # body's branch; only the CALLER arm taints the logged value.  The
+        # walk through one arm reaches H again and walks the other arm up to
+        # the branch block, where the edge back into H is already used: what
+        # that walk finished there must not stand in for the first-level walk
+        segments = [("loop", ["one"], ["caller"])]
+        icfg = build_icfg(structured(segments if order == "as-written" else swapped(segments)))
+        assert [(f.kind, f.condition, f.confidence) for f in detect(icfg)] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", "POTENTIAL")]
+        assert same_as_reference(icfg)
+
+    @pytest.mark.parametrize("order", ["as-written", "swapped"])
+    def test_helper_called_in_arms_and_between_them(self, order):
+        # every call of the helper walks its block again, over the taint
+        # earlier calls on the path left there; walks that differ only in
+        # that taint must not be merged
+        segments = [("branch", ["store"], ["inc", "store"]), "inc",
+                    ("branch", [], ["inc"]), ("branch", ["inc"], ["side"])]
+        icfg = build_icfg(structured(segments if order == "as-written" else swapped(segments),
+                                     start=(("PUSH1", 4), "CALLDATALOAD")))
+        assert len(icfg.call_edges) == 5
+        assert same_as_reference(icfg)
+
+    def test_random_branches_loops_and_calls(self):
+        rng = random.Random(3)
+        compared = 0
+        for _ in range(300):
+            icfg = build_icfg(structured(random_segments(rng), rng.choice(list(HELPER_BODIES)),
+                                         rng.choice([(("PUSH1", 0),), ("CALLER",)])))
+            if icfg.unresolved_jumps or any(fn.lift_failed for fn in icfg.functions.values()):
+                continue  # arms of unequal stack depth
+            compared += same_as_reference(icfg)
+        assert compared > 150
