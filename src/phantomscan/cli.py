@@ -16,20 +16,30 @@ from pathlib import Path
 import click
 
 from . import SCHEMA, __version__, jsonout
-from .evm.disasm import Bytecode
 from .findings import from_bytecode, from_source, from_txlog
-from .lifter.functions import SigDb, build_icfg
-from .minisol import ResolutionError
-from .minisol import SyntaxError as SourceSyntaxError
-from .minisol import load as load_source
-from .minisol import summarize, to_source
 from .report import merge
-from .taint import detect
-from .symexec import analyze_source
-from .txscan import load_rules_file, read_records_file, scan_records
 
-_INPUT_ERRORS = (OSError, ValueError, SourceSyntaxError, ResolutionError)
+_INPUT_ERRORS = (OSError, ValueError)
 _ORIGIN = "phantomscan.origin"
+
+
+# The analysis layers are imported when a subcommand first calls into them, so
+# each subcommand loads only the layers it runs.  An import made at call time
+# reads the layer module's attribute, so a wrapped or patched function is used.
+
+def build_icfg(bytecode, sigdb=None):
+    from .lifter.functions import build_icfg
+    return build_icfg(bytecode, sigdb)
+
+
+def detect(icfg, sigdb=None, **options):
+    from .taint import detect
+    return detect(icfg, sigdb, **options)
+
+
+def analyze_source(contract):
+    from .symexec import analyze_source
+    return analyze_source(contract)
 
 
 def _fail(origin: str, exc: Exception) -> None:
@@ -42,20 +52,68 @@ def _fail(origin: str, exc: Exception) -> None:
     sys.exit(2)
 
 
-def _load_sigdb(path: str | None) -> SigDb | None:
+def _load_sigdb(path: str | None):
     if path is None:
         return None
+    from .lifter.functions import SigDb
     try:
         return SigDb.from_file(path)
     except _INPUT_ERRORS as exc:
         _fail(path, exc)
 
 
+def _load_rules(path: str | None):
+    if path is None:
+        return None
+    from .txscan import load_rules_file
+    try:
+        return load_rules_file(path)
+    except _INPUT_ERRORS as exc:
+        _fail(path, exc)
+
+
+def _read_bytecode(path: str, strip: bool = True):
+    from .evm.disasm import Bytecode
+    try:
+        return Bytecode.from_hex_file(path, strip=strip)
+    except _INPUT_ERRORS as exc:
+        _fail(path, exc)
+
+
+def _read_source(path: str):
+    from .minisol import ResolutionError, SyntaxError as SourceSyntaxError, load
+    try:
+        return load(Path(path).read_text(encoding="utf-8"))
+    except (*_INPUT_ERRORS, SourceSyntaxError, ResolutionError) as exc:
+        _fail(path, exc)
+
+
+def _scan(path: str, ruleset, spoofing: bool = True):
+    """The scanner's findings and caveats for one log corpus."""
+    from .txscan import read_records_file, scan_records
+    try:
+        return scan_records(read_records_file(path), ruleset, spoofing=spoofing)
+    except _INPUT_ERRORS as exc:
+        _fail(path, exc)
+
+
+def _consume(items: list):
+    """Yield the items of `items` in order and drop each from the list, so an
+    item is freed as soon as its consumer lets go of it."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def _write_json(report, stream) -> None:
+    """Write the report's JSON one finding at a time: its whole text is never held."""
+    stream.writelines(report.json_pieces())
+    stream.write("\n")
+
+
 def _emit(report, as_json: bool) -> None:
     if as_json:
-        # the newline goes out on its own: appending it would copy the whole report
-        click.echo(report.to_json(), nl=False)
-        click.echo()
+        _write_json(report, sys.stdout)
     else:
         for f in report.findings:
             mark = " (superseded)" if f.id in report.superseded else ""
@@ -115,10 +173,7 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
     """Disassemble runtime bytecode from a hex FILE."""
-    try:
-        bc = Bytecode.from_hex_file(file, strip=not keep_metadata)
-    except _INPUT_ERRORS as exc:
-        _fail(file, exc)
+    bc = _read_bytecode(file, strip=not keep_metadata)
     if as_json:
         doc = {
             "schema": SCHEMA,
@@ -148,11 +203,7 @@ def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
 def icfg(file: str, sigdb: str | None, as_dot: bool) -> None:
     """Lift bytecode into functions and print the recovered graph."""
     db = _load_sigdb(sigdb)
-    try:
-        bc = Bytecode.from_hex_file(file)
-    except _INPUT_ERRORS as exc:
-        _fail(file, exc)
-    graph = build_icfg(bc, db)
+    graph = build_icfg(_read_bytecode(file), db)
     click.echo(graph.to_dot() if as_dot else graph.to_json())
 
 
@@ -162,10 +213,9 @@ def icfg(file: str, sigdb: str | None, as_dot: bool) -> None:
               help="Print an event/state/function digest instead of source.")
 def parse(file: str, as_summary: bool) -> None:
     """Parse a restricted-Solidity contract and reprint it canonically."""
-    try:
-        contract = load_source(Path(file).read_text(encoding="utf-8"))
-    except _INPUT_ERRORS as exc:
-        _fail(file, exc)
+    from .minisol import summarize, to_source
+
+    contract = _read_source(file)
     if as_summary:
         click.echo(jsonout.dumps(summarize(contract)))
     else:
@@ -181,11 +231,7 @@ def parse(file: str, as_summary: bool) -> None:
 def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bool) -> None:
     """Taint-analyze every LOG site in compiled bytecode."""
     db = _load_sigdb(sigdb)
-    try:
-        bc = Bytecode.from_hex_file(file)
-    except _INPUT_ERRORS as exc:
-        _fail(file, exc)
-    graph = build_icfg(bc, db)
+    graph = build_icfg(_read_bytecode(file), db)
     raw = detect(graph, db, strict_eq2=strict_eq2)
     _emit(merge(from_bytecode(f, origin=Path(file).name) for f in raw), as_json)
 
@@ -195,11 +241,7 @@ def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bo
 @click.option("--json", "as_json", is_flag=True)
 def analyze_source_cmd(file: str, as_json: bool) -> None:
     """Symbolically execute a restricted-Solidity contract."""
-    try:
-        contract = load_source(Path(file).read_text(encoding="utf-8"))
-    except _INPUT_ERRORS as exc:
-        _fail(file, exc)
-    raw = analyze_source(contract)
+    raw = analyze_source(_read_source(file))
     _emit(merge(from_source(f, origin=Path(file).name) for f in raw), as_json)
 
 
@@ -211,20 +253,8 @@ def analyze_source_cmd(file: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def scan_logs(corpus: str, rules: str | None, no_spoofing: bool, as_json: bool) -> None:
     """Scan a JSONL event-log corpus against rules and heuristics."""
-    ruleset = None
-    try:
-        if rules is not None:
-            ruleset = load_rules_file(rules)
-    except _INPUT_ERRORS as exc:
-        _fail(rules, exc)
-    try:
-        raw, caveats = scan_records(read_records_file(corpus), ruleset,
-                                    spoofing=not no_spoofing)
-    except _INPUT_ERRORS as exc:
-        _fail(corpus, exc)
-    report = merge((from_txlog(f) for f in raw), caveats)
-    del raw  # the scanner's findings are wrapped; free them before the report is written
-    _emit(report, as_json)
+    raw, caveats = _scan(corpus, _load_rules(rules), spoofing=not no_spoofing)
+    _emit(merge(map(from_txlog, _consume(raw)), caveats), as_json)
 
 
 @main.command()
@@ -250,48 +280,32 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
         click.echo("error: nothing to analyze; pass --bytecode, --source or --logs", err=True)
         sys.exit(2)
     db = _load_sigdb(sigdb)
-    ruleset = None
-    try:
-        if rules is not None:
-            ruleset = load_rules_file(rules)
-    except _INPUT_ERRORS as exc:
-        _fail(rules, exc)
+    ruleset = _load_rules(rules)
 
     findings = []
     caveats: list[str] = []
     for path in bytecode_files:
         _working_on(path)
-        try:
-            bc = Bytecode.from_hex_file(path)
-        except _INPUT_ERRORS as exc:
-            _fail(path, exc)
-        for f in detect(build_icfg(bc, db), db):
+        for f in detect(build_icfg(_read_bytecode(path), db), db):
             findings.append(from_bytecode(f, origin=Path(path).name))
     for path in source_files:
         _working_on(path)
-        try:
-            contract = load_source(Path(path).read_text(encoding="utf-8"))
-        except _INPUT_ERRORS as exc:
-            _fail(path, exc)
-        for f in analyze_source(contract):
+        for f in analyze_source(_read_source(path)):
             findings.append(from_source(f, origin=Path(path).name))
     for path in log_files:
         _working_on(path)
-        try:
-            raw, cavs = scan_records(read_records_file(path), ruleset)
-        except _INPUT_ERRORS as exc:
-            _fail(path, exc)
-        findings.extend(from_txlog(f) for f in raw)
+        raw, cavs = _scan(path, ruleset)
+        findings.extend(map(from_txlog, _consume(raw)))
         caveats.extend(cavs)
     _working_on(None)
 
     merged = merge(findings, caveats)
-    text = merged.to_json()
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_json(merged, fh)
         click.echo(f"wrote {out}")
     else:
-        click.echo(text)
+        _write_json(merged, sys.stdout)
     sys.exit(1 if merged.findings else 0)
 
 

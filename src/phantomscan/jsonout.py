@@ -7,10 +7,16 @@ yields one small string per token and joins them all at the end, a few
 million strings for a large scan report.  This writer builds each
 container's text once from its items' texts instead, and it encodes
 strings with the same C routine, so the bytes are the same.
+
+`iterdumps(members)` yields the same text for an object in pieces: a
+member whose value is an iterator is written as an array, one piece per
+item, so a report is written one finding at a time and its whole text
+is never held in memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
 _INFINITY = float("inf")
@@ -53,6 +59,32 @@ def _key(key) -> str:
 
 def dumps(value) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, built container by container."""
+    return _writer()(value, "\n")
+
+
+def iterdumps(members: dict) -> Iterator[str]:
+    """The text of `dumps(members)` in pieces, where a member whose value is
+    an iterator stands for the array of its items and gets one piece per item."""
+    write = _writer()
+    sep = "{\n  "
+    for key in sorted(members):
+        value = members[key]
+        if not isinstance(value, Iterator):
+            yield sep + _key(key) + write(value, "\n  ")
+        else:
+            opening = sep + _key(key) + "["
+            empty = True
+            for item in value:
+                yield (opening if empty else ",") + "\n    " + write(item, "\n    ")
+                empty = False
+            yield opening + "]" if empty else "\n  ]"
+        sep = ",\n  "
+    yield "{}" if sep == "{\n  " else "\n}"
+
+
+def _writer():
+    """A `write(value, newline)` that returns the text of `value` whose lines
+    after the first start with `newline`; it remembers the keys it has written."""
     prefixes: dict[str, str] = {}  # str key -> _key(key), for keys seen before
 
     def write(value, newline: str) -> str:
@@ -110,4 +142,4 @@ def dumps(value) -> str:
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
 
-    return write(value, "\n")
+    return write

@@ -9,7 +9,7 @@ marked, so consumers do not double-count one forgery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import SCHEMA, jsonout
 from .findings import LAYER_BYTECODE, LAYER_SOURCE, Finding
@@ -38,20 +38,24 @@ class Report:
             "superseded": len(self.superseded),
         }
 
-    def to_json(self) -> str:
-        out = []
-        for f in self.findings:
-            item = f.to_json()
-            if f.id in self.superseded:
-                item["superseded_by"] = self.superseded[f.id]
-            out.append(item)
-        doc = {
+    def json_pieces(self) -> Iterator[str]:
+        """The report's JSON text in order, one piece per finding: the
+        caveats, each finding, then the schema and the summary."""
+        return jsonout.iterdumps({
             "schema": SCHEMA,
             "summary": self.summary,
             "caveats": list(self.caveats),
-            "findings": out,
-        }
-        return jsonout.dumps(doc)
+            "findings": map(self._finding_json, self.findings),
+        })
+
+    def to_json(self) -> str:
+        return "".join(self.json_pieces())
+
+    def _finding_json(self, f: Finding) -> dict:
+        item = f.to_json()
+        if f.id in self.superseded:
+            item["superseded_by"] = self.superseded[f.id]
+        return item
 
 
 def _dominates(src: Finding, byt: Finding) -> bool:

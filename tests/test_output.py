@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _synthetic_corpus
 
-from phantomscan import jsonout
+from phantomscan import SCHEMA, jsonout
 from phantomscan._keccak import keccak256
 from phantomscan.cli import main
 from phantomscan.findings import CONFIDENCE_RANK, from_txlog, jsonable, make_finding
@@ -141,19 +142,19 @@ def test_a_replaced_subject_orders_by_its_own_json():
     g = dataclasses.replace(f, subject={"a": 1})
     assert f.sort_key[3] == '{"a":2}' and g.sort_key[3] == '{"a":1}'
 
-def _captured_report_document(monkeypatch, report):
-    """The document `report.to_json()` writes, and the text it returns."""
-    docs = []
-    real = jsonout.dumps
-
-    def capture(doc):
-        docs.append(doc)
-        return real(doc)
-
-    monkeypatch.setattr(jsonout, "dumps", capture)
-    text = report.to_json()
-    (doc,) = docs
-    return doc, text
+def _report_document(report):
+    """The document a report stands for, built here from its parts (not by the
+    code under test), and the text `report.to_json()` writes."""
+    findings = []
+    for f in report.findings:
+        item = {"id": f.id, "layer": f.layer, "kind": f.kind, "confidence": f.confidence,
+                "subject": f.subject, "evidence": f.evidence}
+        if f.id in report.superseded:
+            item["superseded_by"] = report.superseded[f.id]
+        findings.append(item)
+    doc = {"schema": SCHEMA, "summary": report.summary, "caveats": list(report.caveats),
+           "findings": findings}
+    return doc, report.to_json()
 
 
 CORPORA = ["bridge_edge_logs.jsonl", "bridge_logs.jsonl", "spoof3_approved_logs.jsonl",
@@ -162,19 +163,64 @@ CORPORA = ["bridge_edge_logs.jsonl", "bridge_logs.jsonl", "spoof3_approved_logs.
 
 @pytest.mark.parametrize("rules", ["bridge_rules.yaml", "bridge_rules_strict.yaml"])
 @pytest.mark.parametrize("corpus", CORPORA)
-def test_scan_report_equals_json_dumps_on_bundled_corpora(monkeypatch, corpus, rules):
+def test_scan_report_equals_json_dumps_on_bundled_corpora(corpus, rules):
     raw, caveats = scan_records(read_records_file(fixture_path(corpus)),
                                 load_rules_file(fixture_path(rules)))
-    doc, text = _captured_report_document(monkeypatch, merge(map(from_txlog, raw), caveats))
+    doc, text = _report_document(merge(map(from_txlog, raw), caveats))
     assert text == reference(doc)
 
 
-def test_scan_report_equals_json_dumps_on_c10_corpus(monkeypatch):
+def test_scan_report_equals_json_dumps_on_c10_corpus():
     raw, caveats = scan_records(_synthetic_corpus(2000),
                                 load_rules_file(fixture_path("bridge_rules.yaml")))
     assert len(raw) > 1000
-    doc, text = _captured_report_document(monkeypatch, merge(map(from_txlog, raw), caveats))
+    doc, text = _report_document(merge(map(from_txlog, raw), caveats))
     assert text == reference(doc)
+
+
+# -- the report written in pieces --------------------------------------
+
+def _supersession_findings():
+    """A confirmed source finding, the potential bytecode finding it supersedes,
+    and a bytecode finding of another kind that it leaves alone."""
+    subject = {"origin": "token.msol", "contract": "Token", "event": "Mint",
+               "topic0": "0x" + "ab" * 32, "functions": ["mint"]}
+    return [make_finding("source", "EVENT_COUNTERFEITING", "CONFIRMED", subject, {"witness": 1}),
+            make_finding("bytecode", "EVENT_COUNTERFEITING", "POTENTIAL",
+                         dict(subject, origin="token.hex"), {"paths": []}),
+            make_finding("bytecode", "INCONSISTENT_LOGGING", "POTENTIAL",
+                         dict(subject, origin="token.hex"), {"condition": "c"})]
+
+
+@pytest.mark.parametrize("findings, caveats", [
+    ([], []),
+    ([], ["the corpus ends mid-transaction", "a \"quoted\" caveat"]),
+    (_supersession_findings(), []),
+    (_supersession_findings(), ["one caveat"]),
+], ids=["empty", "caveats", "superseded", "superseded-caveats"])
+def test_report_pieces_join_to_json_dumps(findings, caveats):
+    report = merge(findings, caveats)
+    assert len(report.superseded) == (1 if findings else 0)
+    doc, text = _report_document(report)
+    pieces = list(report.json_pieces())
+    assert len(pieces) == len(findings) + 5
+    assert "".join(pieces) == text == reference(doc)
+
+
+def test_report_pieces_take_memory_per_finding_not_per_report():
+    findings = [make_finding("logs", "PHANTOM_EMITTER", "CONFIRMED",
+                             {"txHash": f"0x{i:064x}", "logIndex": i % 7, "blockNumber": i},
+                             {"check": "emitter", "detail": ["x" * 40, i]})
+                for i in range(5000)]
+    report = merge(findings, ["a caveat"])
+    tracemalloc.start()
+    try:
+        length = sum(map(len, report.json_pieces()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert length > 2_000_000
+    assert peak <= length // 4
 
 
 # -- pinned ids and bytes ----------------------------------------------

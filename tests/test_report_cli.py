@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import phantomscan
 from phantomscan import SCHEMA
 from phantomscan.cli import main
-from phantomscan.findings import from_txlog, jsonable, make_finding
+from phantomscan.findings import Finding, from_txlog, jsonable, make_finding
 from phantomscan.report import merge
 from phantomscan.resources import fixture_path
 from test_taint import callers, padded_chain
@@ -258,6 +258,70 @@ def test_cli_internal_error_exits_3_naming_the_file(monkeypatch):
                                  "--source", FIX["counterfeit.msol"]])
     assert res.exit_code == 3
     assert res.stderr == f"error: {FIX['counterfeit.hex']}: internal error: KeyError: 'boom'\n"
+
+
+def test_cli_internal_error_mid_report_exits_3(monkeypatch):
+    # the report goes out one finding at a time, so an error while writing
+    # the second finding comes after the first is written
+    real = Finding.to_json
+    written = []
+
+    def flaky(finding):
+        if written:
+            raise RuntimeError("boom")
+        written.append(finding.id)
+        return real(finding)
+
+    monkeypatch.setattr(Finding, "to_json", flaky)
+    res = runner().invoke(main, ["scan-logs", FIX["bridge_logs.jsonl"],
+                                 "--rules", FIX["bridge_rules.yaml"], "--json"])
+    assert res.exit_code == 3
+    assert res.stderr == f"error: {FIX['bridge_logs.jsonl']}: internal error: RuntimeError: boom\n"
+    assert res.stdout.startswith('{\n  "caveats": ')
+    assert f'"id": "{written[0]}"' in res.stdout
+
+
+def test_cli_report_out_file_equals_stdout(tmp_path):
+    args = ["report", "--bytecode", FIX["counterfeit.hex"], "--source", FIX["counterfeit.msol"],
+            "--logs", FIX["bridge_logs.jsonl"], "--rules", FIX["bridge_rules.yaml"],
+            "--sigdb", FIX["sigdb.txt"]]
+    out = tmp_path / "report.json"
+    to_file = runner().invoke(main, [*args, "--out", str(out)])
+    to_stdout = runner().invoke(main, args)
+    assert to_file.exit_code == to_stdout.exit_code == 1
+    assert to_file.stdout == f"wrote {out}\n"
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    assert json.loads(out.read_bytes())["summary"]["superseded"] == 1
+
+
+_LOADED_MODULES = """
+import sys
+from phantomscan.cli import main
+try:
+    main(sys.argv[1:], prog_name="phantomscan")
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, name, text, runs, skipped", [
+    ("scan-logs", "empty.jsonl", "", ["txscan"],
+     ["evm", "lifter", "taint", "minisol", "symexec"]),
+    ("analyze-bytecode", "empty.hex", "0x00\n", ["evm", "lifter", "taint"],
+     ["minisol", "symexec", "txscan"]),
+    ("analyze-source", "empty.msol", "contract Empty {\n}\n", ["minisol", "symexec"],
+     ["evm", "lifter", "taint", "txscan"]),
+], ids=["scan-logs", "analyze-bytecode", "analyze-source"])
+def test_cli_subcommand_loads_only_its_layers(tmp_path, command, name, text, runs, skipped):
+    src = str(Path(phantomscan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / name).write_text(text)
+    run = subprocess.run([sys.executable, "-c", _LOADED_MODULES, command, name, "--json"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = {m.split(".")[1] for m in run.stderr.split() if m.startswith("phantomscan.")}
+    assert set(runs) <= loaded
+    assert not loaded & set(skipped)
 
 
 # a local reassigned once per statement: declaration, step, guard

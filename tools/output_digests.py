@@ -8,6 +8,9 @@ seed 424242), and prints one line per invocation:
 
     <sha256 of stdout, NUL, stderr> <exit code> <invocation>
 
+For an invocation that writes a file (`report ... --out FILE`), the
+digest also covers a NUL and that file's bytes.
+
 SRC is the source directory of the checkout to run (default: this
 checkout's `src`).  Two checkouts produce byte-identical output on
 these inputs exactly when their runs print the same lines:
@@ -170,7 +173,7 @@ def invocations() -> list[list[str]]:
         everything += ["--source", f"{name}.msol"]
     for name in CORPORA[:-1]:
         everything += ["--logs", f"{name}.jsonl"]
-    runs.append(everything)
+    runs += [everything, everything + ["--out", "report.json"]]
     return runs
 
 
@@ -193,7 +196,12 @@ def main(argv: list[str]) -> int:
         for args in invocations():
             proc = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args],
                                   cwd=work, env=env, capture_output=True, check=False)
-            digest = hashlib.sha256(proc.stdout + b"\0" + proc.stderr).hexdigest()
+            output = proc.stdout + b"\0" + proc.stderr
+            if "--out" in args:
+                written = Path(work) / args[args.index("--out") + 1]
+                output += b"\0" + (written.read_bytes() if written.is_file() else b"")
+                written.unlink(missing_ok=True)
+            digest = hashlib.sha256(output).hexdigest()
             print(f"{digest} {proc.returncode} {' '.join(args)}", flush=True)
     return 0
 
