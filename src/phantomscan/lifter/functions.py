@@ -148,12 +148,12 @@ class Icfg:
     @cached_property
     def revisitable(self) -> frozenset[int]:
         """Blocks one reverse walk from a block (predecessors, return edges
-        into callees, call edges out to callers) can visit twice: blocks on
-        a cycle of predecessors and calls (return block -> call block),
-        blocks of several functions, and the blocks of every function a
-        walk can enter twice, that is one reached through calls from one of
-        its own callees, or from both of two calls one function makes one
-        after the other."""
+        into callees, call edges out to callers) can visit twice without
+        trying again the move it left the block by: blocks of several
+        functions, and the blocks of every function a walk can enter twice
+        under different calls, that is one reached through calls from one
+        of its own callees, or from both of two calls one function makes
+        one after the other.  Loops are left to `taint.backward_slice`."""
         up: dict[int, set[int]] = {}
         for fn in self.functions.values():
             for b, preds in fn.pred.items():
@@ -173,7 +173,7 @@ class Icfg:
         for fn in self.functions.values():
             for b in fn.block_offsets:
                 owners[b] = owners.get(b, 0) + 1
-        out = {b for b, n in owners.items() if n > 1} | _cyclic(up)
+        out = {b for b, n in owners.items() if n > 1}
         for name in entered:
             out |= self.functions[name].block_offsets
         return frozenset(out)
@@ -313,44 +313,6 @@ def _closure(start, graph: dict) -> set:
                 seen.add(n)
                 work.append(n)
     return seen
-
-
-def _cyclic(graph: dict[int, set[int]]) -> set[int]:
-    """The nodes on a cycle of `graph`: Tarjan's strongly connected
-    components, with an explicit stack."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    out: set[int] = set()
-    for root in graph:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            v, succs = work[-1]
-            for w in succs:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(graph.get(w, ()))))
-                    break
-                if w in low:  # still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    for w in comp:
-                        del low[w]
-                    if len(comp) > 1 or v in graph.get(v, ()):
-                        out.update(comp)
-    return out
 
 
 def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:

@@ -121,9 +121,8 @@ class _State:
 
 
 class _Executor:
-    def __init__(self, contract: ast.Contract, max_paths: int = MAX_PATHS):
+    def __init__(self, contract: ast.Contract):
         self.contract = contract
-        self.max_paths = max_paths
         self.caller = CallerSym()
         self.msg_value = ValueSym()
         self.call_sites = itertools.count()
@@ -186,9 +185,9 @@ class _Executor:
                 else:
                     nxt.append(st)
             states = nxt
-            if len(states) > self.max_paths:
+            if len(states) > MAX_PATHS:
                 self.capped = True
-                states = states[:self.max_paths]
+                states = states[:MAX_PATHS]
                 for st in states:
                     st.truncated = True
         return states
@@ -251,12 +250,11 @@ class _Executor:
         raise TypeError(type(s).__name__)
 
 
-def search_paths(contract: ast.Contract, fn_name: str,
-                 max_paths: int = MAX_PATHS) -> PathSet:
+def search_paths(contract: ast.Contract, fn_name: str) -> PathSet:
     fn = contract.function(fn_name)
     if fn is None:
         raise KeyError(fn_name)
-    ex = _Executor(contract, max_paths=max_paths)
+    ex = _Executor(contract)
     init = _State()
     init.env = {p.name: FreeVar(name=p.name, sort=sort_of_type(p.type))
                 for p in fn.params}

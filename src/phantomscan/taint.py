@@ -288,9 +288,10 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     path.  It stops at a block in a state a finished walk left there:
     call context, entry slots to bridge, and the state a later step can
     read (environment keys, the block's entry slots, and the taint and
-    bridged slots of `icfg.revisitable` blocks, which one path can visit
-    twice).  A walk is recorded as finished only if nothing below it read
-    what the state leaves out: an edge its path had crossed before, or,
+    bridged slots of `icfg.revisitable` blocks).  A walk is recorded as
+    finished only if nothing below it read what the state leaves out: an
+    edge its path had crossed before, which is the one rule for loops (a
+    path back into a loop block tries again the edge it left it by), or,
     for `_unchecked_external_call`, a whole untainted path through an
     external call.  Paths share their common part through (segment,
     rest) links."""

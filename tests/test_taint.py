@@ -584,6 +584,7 @@ STEPS = {
     "one": [("PUSH1", 1), "ADD"],
     "caller": ["CALLER", "ADD"],
     "store": ["DUP1", ("PUSH1", 2), "SSTORE"],
+    "reset": ["POP", ("PUSH1", 0)],
 }
 
 
@@ -591,10 +592,15 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
     """One function that pushes `start`, changes that value by each of
     `segments` and logs it.  A segment is a STEPS name, "inc" (the value
     goes through a one-block helper with a HELPER_BODIES body), "side" (the
-    helper runs on a constant, whose result is dropped), or a triple
-    ("branch" | "loop", first, second): a calldata flag chooses between two
-    lists of segments, the fall-through `first` walked first; a loop head
-    leaves on another flag and runs the branch as its body."""
+    helper runs on a constant, whose result is dropped), or a tuple
+    (kind, first, second[, head]) with kind "branch", "loop", "break" or
+    "rotated": a calldata flag chooses between two lists of segments, the
+    fall-through `first` walked first.  A loop runs the segments `head`
+    (none if left out), leaves on another flag and otherwise runs the
+    branch as its body; both arms go back to the head, except that in a
+    "break" loop `second` leaves the loop, so the head has two successors
+    towards the LOG.  A "rotated" loop is a "break" loop laid out with its
+    body above its head, so the walk tries the break before the head."""
     counter = itertools.count()
 
     def emit(seg) -> list:
@@ -604,15 +610,20 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
             return call if seg == "inc" else [("PUSH1", 9), *call, "POP"]
         if isinstance(seg, str):
             return STEPS[seg]
-        kind, first, second = seg
-        first, second = ([x for s in arm for x in emit(s)] for arm in (first, second))
+        kind, first, second, head = (*seg, [])[:4]
+        head, first, second = ([x for s in arm for x in emit(s)] for arm in (head, first, second))
         branch = [("PUSH2", 0x24 + 0x20 * (n % 3)), "CALLDATALOAD", ("pushl", f"s{n}"), "JUMPI"]
         if kind == "branch":
             return [*branch, *first, ("pushl", f"j{n}"), "JUMP", ("label", f"s{n}"), "JUMPDEST",
                     *second, ("label", f"j{n}"), "JUMPDEST"]
-        return [("label", f"h{n}"), "JUMPDEST", ("PUSH1", 0x84), "CALLDATALOAD", ("pushl", f"o{n}"),
-                "JUMPI", *branch, *first, ("pushl", f"h{n}"), "JUMP", ("label", f"s{n}"), "JUMPDEST",
-                *second, ("pushl", f"h{n}"), "JUMP", ("label", f"o{n}"), "JUMPDEST"]
+        test = [("label", f"h{n}"), "JUMPDEST", *head, ("PUSH1", 0x84), "CALLDATALOAD",
+                ("pushl", f"o{n}"), "JUMPI"]
+        body = [*branch, *first, ("pushl", f"h{n}"), "JUMP", ("label", f"s{n}"), "JUMPDEST",
+                *second, ("pushl", f"{'h' if kind == 'loop' else 'o'}{n}"), "JUMP"]
+        if kind == "rotated":
+            return [("pushl", f"h{n}"), "JUMP", ("label", f"b{n}"), "JUMPDEST", *body,
+                    *test, ("pushl", f"b{n}"), "JUMP", ("label", f"o{n}"), "JUMPDEST"]
+        return [*test, *body, ("label", f"o{n}"), "JUMPDEST"]
 
     return one_function([*start, *(x for seg in segments for x in emit(seg)),
                          ("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)"), "STOP",
@@ -621,7 +632,8 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
 
 def swapped(segments: list) -> list:
     """`segments` with the two arms of every branch and loop exchanged."""
-    return [seg if isinstance(seg, str) else (seg[0], swapped(seg[2]), swapped(seg[1]))
+    return [seg if isinstance(seg, str)
+            else (seg[0], swapped(seg[2]), swapped(seg[1]), *map(swapped, seg[3:]))
             for seg in segments]
 
 
@@ -634,6 +646,23 @@ def random_segments(rng: random.Random) -> list:
         kind = rng.choice(["step", "branch", "loop"])
         out += arm() if kind == "step" else [(kind, arm(), arm())]
     return out
+
+
+def loop_segments(rng: random.Random) -> list:
+    """Loops, most of them nested or with a second exit towards the LOG,
+    with steps and helper calls in their heads and bodies."""
+    def arm(depth: int) -> list:
+        out = [rng.choice(["one", "caller", "store", "reset", "inc", "side"])
+               for _ in range(rng.randrange(3))]
+        if depth < 2 and rng.random() < 0.3:
+            out.insert(rng.randrange(len(out) + 1), loop(depth + 1))
+        return out
+
+    def loop(depth: int) -> tuple:
+        return (rng.choice(["loop", "break", "rotated"]), arm(depth), arm(depth), arm(depth))
+
+    return [loop(0) if rng.random() < 0.7 else rng.choice(list(STEPS))
+            for _ in range(rng.randrange(1, 4))]
 
 
 class TestAgainstReference:
@@ -691,6 +720,71 @@ class TestAgainstReference:
         icfg = build_icfg(structured(segments if order == "as-written" else swapped(segments),
                                      start=(("PUSH1", 4), "CALLDATALOAD")))
         assert len(icfg.call_edges) == 5
+        assert same_as_reference(icfg)
+
+    @pytest.mark.parametrize("segments,start", [
+        # the body's CALLER arm goes back to the head, the other arm leaves
+        # the loop.  Laid out body first, the walk tries that break first; it
+        # comes back round the CALLER arm to the body's branch block, whose
+        # edge from the head's exit test it has crossed already, and what it
+        # finished there must not stand in for the later walk through the
+        # head's exit
+        pytest.param([("rotated", ["caller"], [], ["one"])], (("PUSH1", 0),), id="break-first"),
+        # the head adds 1 to the value, and only the walk through the head's
+        # exit taints that addition, because the breaking arm resets the
+        # value; the walk back into the head through the body then reads
+        # the head's variables again
+        *(pytest.param([(kind, ["caller"], ["reset"], ["one"])], (("PUSH1", 4), "CALLDATALOAD"),
+                       id=f"{kind}-resets") for kind in ("break", "rotated")),
+    ])
+    def test_loop_with_two_exits_towards_the_log(self, segments, start):
+        icfg = build_icfg(structured(segments, start=start))
+        assert [(f.kind, f.condition, f.confidence) for f in detect(icfg)] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", "POTENTIAL")]
+        assert same_as_reference(icfg)
+
+    def test_two_loops_give_two_evidence_paths(self):
+        # a path that skips both loop bodies and one that goes once round the
+        # second: every other way round the loops reaches a state that a
+        # finished walk left, and adds no path
+        icfg = build_icfg(structured([("loop", ["inc"], []), ("loop", ["caller", "side"], [])],
+                                     "store", ("CALLER",)))
+        findings = detect(icfg)
+        assert [(f.kind, f.condition, f.confidence) for f in findings] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", "POTENTIAL")]
+        assert len(findings[0].paths) == 2
+        assert same_as_reference(icfg)
+
+    def test_loop_dense_programs(self):
+        rng = random.Random(10)
+        compared = 0
+        for _ in range(150):
+            icfg = build_icfg(structured(loop_segments(rng), rng.choice(list(HELPER_BODIES)),
+                                         rng.choice([(("PUSH1", 0),), ("CALLER",),
+                                                     (("PUSH1", 4), "CALLDATALOAD")])))
+            compared += same_as_reference(icfg)
+        assert compared > 140
+
+    def test_helpers_that_share_their_return_block(self):
+        # two helpers jump to one tail block that adds 1 and returns, so
+        # the tail belongs to both; the second helper drops its argument.
+        # The walk through the second helper taints the tail's variables
+        # and comes back to the tail in the first helper with them tainted,
+        # so its state at the block between the calls differs from that of
+        # the walk that goes round the second call
+        def call(n: int, helper: str) -> list:
+            return [("pushl", f"r{n}"), ("pushl", helper), "JUMP", ("label", f"r{n}"), "JUMPDEST"]
+
+        icfg = build_icfg(one_function([
+            ("PUSH1", 4), "CALLDATALOAD", *call(1, "first"), ("PUSH1", 1), "ADD", "JUMPDEST",
+            *call(2, "second"), ("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)"), "STOP",
+            ("label", "first"), "JUMPDEST", ("pushl", "tail"), "JUMP",
+            ("label", "second"), "JUMPDEST", "SWAP1", "POP", ("PUSH1", 0), "SWAP1",
+            ("pushl", "tail"), "JUMP",
+            ("label", "tail"), "JUMPDEST", "SWAP1", ("PUSH1", 1), "ADD", "SWAP1", "JUMP",
+        ]))
+        assert [(f.kind, f.condition, f.confidence) for f in detect(icfg)] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", "POTENTIAL")]
         assert same_as_reference(icfg)
 
     def test_random_branches_loops_and_calls(self):

@@ -1,0 +1,69 @@
+"""Compare the merged taint walk with the exhaustive path search.
+
+    python tools/reference_check.py SEED N
+
+Builds N seeded programs from each generator of the test suite
+(`structured` programs of `random_segments` and of `loop_segments`, and
+the fuzz suite's `_random_code` and `_random_call_code`), runs `detect`
+and the exhaustive `reference_detect` from `tests/reference_slice.py` on
+each, and prints one line per generator:
+
+    <generator> <programs> <complete> <mismatches>
+
+A program is complete when the exhaustive search finished every log
+site; a mismatch is a program where the two give different findings on
+an event whose log sites the search finished.  Exits 1 when there is a
+mismatch.  Needs pytest and hypothesis, as the tests do.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/reference_check.py SEED N", file=sys.stderr)
+        return 2
+    seed, n = int(argv[0]), int(argv[1])
+    sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "tests")]
+
+    from phantomscan.evm import Bytecode
+    from phantomscan.lifter import build_icfg
+    from test_fuzz import _random_call_code, _random_code
+    from test_taint import HELPER_BODIES, loop_segments, random_segments, same_as_reference, structured
+
+    def structured_with(segments):
+        def make(rng: random.Random) -> Bytecode:
+            return structured(segments(rng), rng.choice(list(HELPER_BODIES)),
+                              rng.choice([(("PUSH1", 0),), ("CALLER",),
+                                          (("PUSH1", 4), "CALLDATALOAD")]))
+        return make
+
+    generators = {
+        "random_segments": structured_with(random_segments),
+        "loop_segments": structured_with(loop_segments),
+        "random_code": lambda rng: Bytecode(code=_random_code(rng)),
+        "random_call_code": lambda rng: Bytecode(code=_random_call_code(rng)[0]),
+    }
+    failed = False
+    for name, make in generators.items():
+        rng = random.Random(seed)
+        complete = mismatches = 0
+        for _ in range(n):
+            icfg = build_icfg(make(rng))
+            try:
+                complete += same_as_reference(icfg)
+            except AssertionError:
+                mismatches += 1
+        failed |= mismatches > 0
+        print(name, n, complete, mismatches, flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
