@@ -151,9 +151,9 @@ class Icfg:
         into callees, call edges out to callers) can visit twice without
         trying again the move it left the block by: blocks of several
         functions, and the blocks of every function a walk can enter twice
-        under different calls, that is one reached through calls from one
-        of its own callees, or from both of two calls one function makes
-        one after the other.  Loops are left to `taint.backward_slice`."""
+        under different calls, that is one reached from both of two calls
+        one function makes one after the other.  Loops and recursion are
+        left to `taint.backward_slice`'s rule for edges crossed before."""
         up: dict[int, set[int]] = {}
         for fn in self.functions.values():
             for b, preds in fn.pred.items():
@@ -165,7 +165,7 @@ class Icfg:
             callees.setdefault(e.caller, set()).add(e.callee)
             returns.setdefault(e.return_block, []).append(e.callee)
         reach = {name: _closure(name, callees) for name in self.functions}
-        entered = {name for name, cs in callees.items() if any(name in reach[c] for c in cs)}
+        entered: set[str] = set()
         for e in self.call_edges:
             before = {c for b in _closure(e.call_block, up) for c in returns.get(b, ())}
             entered |= reach[e.callee] & set().union(*(reach[c] for c in before))

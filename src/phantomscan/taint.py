@@ -2,9 +2,11 @@
 
 For every LOG instruction the engine walks reverse paths to function
 entries with no depth limit, carrying which logged values derive from
-transaction input (calldata, caller, call value); a walk stops where a
-finished one left the same state, so a site yields one path per
-distinct (entry, state).  It flags two situations:
+transaction input (calldata, caller, call value) and which values
+share an instruction, and stops where a finished walk left the same
+state (the exploded-supergraph reachability of IFDS, Reps, Horwitz and
+Sagiv, POPL '95): a site yields one path per distinct (entry, state),
+its verdicts read off that state.  It flags two situations:
 
 * a logged value flows straight from input to the log with no
   taint-related storage write on the way (the contract records nothing
@@ -36,6 +38,7 @@ from .lifter.tac import TacInstruction, extern_var
 DYNAMIC_SIGNATURE = "DYNAMIC_SIGNATURE"
 
 MAX_PATHS = 256  # completed paths per LOG site; past it the event's findings are INCOMPLETE
+CALLS, CHECKS = ("calls",), ("checks",)  # the sentinels of `_Walk`'s union-find
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,7 @@ class PathSlice:
 
     @property
     def block_trace(self) -> tuple[tuple[str, int], ...]:
-        trace: list[tuple[str, int]] = []
-        for t in self.instrs:
-            if t.op == "SEGMENT":
-                trace.append((t.defs[0], t.pc))
-        return tuple(trace)
+        return tuple((t.defs[0], t.pc) for t in self.instrs if t.op == "SEGMENT")
 
 
 @dataclass
@@ -235,49 +234,88 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int) -> list[tuple[int | 
 # --------------------------------------------------------------------------
 
 class _Walk:
-    """One path's taint state, changed in place: the tainted value keys,
-    the verdicts `seen` ("source": a tainted entry-point read, "anchor": a
-    taint-related SSTORE, "call": an external call) and, per verdict, the
-    keys `waiting` whose taint decides it.  `kept` repeats, tagged, the
-    keys for which `reread` holds (those a later block visit can read
-    again) and the entry slots bridged into such blocks.  Additions go on
-    `trail`."""
+    """One path's state, changed in place: the tainted value keys, the
+    verdicts `seen` ("source": a tainted entry-point read, "anchor": a
+    taint-related SSTORE, "call": an external call), per verdict the keys
+    `waiting` whose taint decides it, and `kept`, the tainted keys for
+    which `reread` holds (those a later block visit can read again).  A
+    union-find (`parent`, and `size` per root) joins the keys of each
+    instruction, CALLS with the seeds and every external call's result,
+    and CHECKS with the condition of every JUMPI before the first call
+    met; the path crossed an unchecked call when the two are apart at its
+    entry.  `linked` holds the joined `reread` keys.  Every change goes
+    on `trail` as (undo, member)."""
 
     def __init__(self, value_keys: dict[str, tuple], seed: tuple[str, ...],
                  reread=None) -> None:
         self.value_keys, self.trail, self.seen, self.kept = value_keys, [], set(), set()
         self.taint = {_key(v, value_keys) for v in seed}
         self.waiting: dict[str, set] = {"source": set(), "anchor": set()}
-        self.reread = reread
+        self.reread, self.parent, self.size, self.linked = reread, {}, {}, set()
+        self.union(self.taint | {CALLS})
 
     def add(self, members: set, new) -> None:
         new = [m for m in new if m not in members]
         members.update(new)
-        self.trail += [(members, m) for m in new]
+        self.trail += [(members.discard, m) for m in new]
 
-    def keep(self, tag: str, keys) -> None:
+    def find(self, key: tuple) -> tuple:
+        while key in self.parent:
+            key = self.parent[key]
+        return key
+
+    def union(self, keys: set) -> None:
+        roots = {self.find(k) for k in keys}
+        if len(roots) < 2:
+            return
+        top = max(roots, key=lambda r: self.size.get(r, 1))
+        for root in roots - {top}:
+            self.parent[root] = top
+            self.size[top] = self.size.get(top, 1) + self.size.get(root, 1)
+            self.trail.append((self.unlink, root))
         if self.reread:
-            self.add(self.kept, [(tag, k) for k in keys if self.reread(k)])
+            self.add(self.linked, [k for k in keys if self.reread(k)])
+
+    def unlink(self, root: tuple) -> None:
+        self.size[self.parent.pop(root)] -= self.size.get(root, 1)
+
+    def open(self) -> bool:
+        """No tainted entry-point read, and the sentinels still apart."""
+        return "source" not in self.seen and self.find(CALLS) != self.find(CHECKS)
+
+    def classes(self, keys) -> frozenset:
+        """The classes of `keys` and the sentinels that hold two or more."""
+        groups: dict[tuple, set] = {}
+        for k in (*keys, CALLS, CHECKS):
+            groups.setdefault(self.find(k), set()).add(k)
+        return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
 
     def step(self, instrs: list[TacInstruction]) -> None:
         """The single-pass rule: an instruction touching a tainted value
-        key taints all of its keys (SEGMENT and ENTRY have only one)."""
+        key taints all of its keys (SEGMENT and ENTRY have only one).
+        While `open`, the union-find joins them."""
+        join = self.open()
         for t in instrs:
             keys = {_key(v, self.value_keys) for v in t.variables}
             new = keys - self.taint
             if new and len(new) < len(keys):
                 self.add(self.taint, new)
-                self.keep("taint", new)
+                if self.reread:
+                    self.add(self.kept, [k for k in new if self.reread(k)])
                 self.add(self.seen, [v for v, w in self.waiting.items() if not new.isdisjoint(w)])
             if t.op in EXTERNAL_CALLS:
                 self.add(self.seen, ["call"])
+                keys.add(CALLS)
+            elif t.op == "JUMPI" and "call" not in self.seen:
+                keys.add(CHECKS)
             elif t.op == "SSTORE" or t.op in ENTRY_POINT_OPS and t.defs:
                 verdict = "anchor" if t.op == "SSTORE" else "source"
                 watched = keys if t.op == "SSTORE" else {_key(t.defs[0], self.value_keys)}
                 self.add(self.waiting[verdict], watched)
-                self.keep(verdict, watched)
                 if watched & self.taint:
                     self.add(self.seen, [verdict])
+            if join and len(keys) > 1:
+                self.union(keys)
 
 
 def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
@@ -287,13 +325,13 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     return edges, then call edges, crossing each edge at most once per
     path.  It stops at a block in a state a finished walk left there:
     call context, entry slots to bridge, and the state a later step can
-    read (environment keys, the block's entry slots, and the taint and
-    bridged slots of `icfg.revisitable` blocks).  A walk is recorded as
-    finished only if nothing below it read what the state leaves out: an
-    edge its path had crossed before, which is the one rule for loops (a
-    path back into a loop block tries again the edge it left it by), or,
-    for `_unchecked_external_call`, a whole untainted path through an
-    external call.  Paths share their common part through (segment,
+    read: of the environment keys, the block's own and bridged entry
+    slots and the keys of `icfg.revisitable` blocks, those tainted and,
+    while the unchecked-call verdict is open, their classes.  A walk is
+    recorded as finished only if nothing below it read what the state
+    leaves out, an edge its path had crossed before; this one rule keeps
+    loops exact, as a path back into a loop block tries again the edge
+    it left it by.  Paths share their common part through (segment,
     rest) links."""
     value_keys = build_value_keys(icfg)
     env = set(value_keys.values())
@@ -310,6 +348,8 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     ]
     walk = _Walk(value_keys, logop.seed_vars, revisitable and (
         lambda key: key[0] == "v" and (key[1] in names or key[1].partition("@")[2] in suffixes)))
+    if not any(t.op in EXTERNAL_CALLS for lb in icfg.lifted.values() for t in lb.tac):
+        walk.union({CALLS, CHECKS})  # no call to check: the verdict is settled
     walk.step(prefix)
 
     paths: list[PathSlice] = []
@@ -329,8 +369,8 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
         kind = item[0]
         if kind == "undo":
             while len(walk.trail) > item[1]:
-                members, member = walk.trail.pop()
-                members.discard(member)
+                undo, member = walk.trail.pop()
+                undo(member)
         elif kind == "finish":
             _, state, block, mark = item
             below = low.pop()
@@ -351,8 +391,6 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             srcs = {k: plb.exit_var(k) for k in slots}
             bridged = {plb.entry_slot(src) for src in srcs.values()} - {None}
             walk.add(pending.setdefault(pred_block, set()), bridged)
-            if pred_block in revisitable:
-                walk.keep("slot", [("v", extern_var(pred_block, k)) for k in bridged])
             seg = [TacInstruction(pc=block, op="PHI", defs=(f"S{k}@{block:#x}",), uses=(src,))
                    for k, src in srcs.items()]
             seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
@@ -368,14 +406,11 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             if block not in owns:
                 owns[block] = {("v", v) for t in icfg.lifted[block].tac for v in t.variables
                                if v[0] == "S"}
-            own = owns[block].union(("v", extern_var(block, k)) for k in bridge)
-
-            def live(members: set) -> frozenset:
-                return frozenset(env & members | own & members)
-
-            state = (fn_name, block, context, bridge, "call" in walk.seen, live(walk.taint),
-                     *(v in walk.seen or live(w) for v, w in walk.waiting.items()),
-                     frozenset(k for k in walk.kept if k[0] not in walk.seen))
+            read = owns[block].union(env, (("v", extern_var(block, k)) for k in bridge))
+            state = (fn_name, block, context, bridge, "call" in walk.seen,
+                     frozenset(read & walk.taint),
+                     *(v in walk.seen or frozenset(read & w) for v, w in walk.waiting.items()),
+                     frozenset(walk.kept), walk.open() and walk.classes(read | walk.linked))
             if state in done:
                 continue
             mark = len(walk.trail)
@@ -410,18 +445,15 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             instrs = [t for seg in reversed(segments) for t in seg]
             instrs.append(TacInstruction(pc=block, op="ENTRY", defs=(fn_name,)))
             traversed = {t.defs[0] for t in instrs if t.op == "SEGMENT"}
+            unchecked = {"unchecked"} if "call" in walk.seen and walk.open() else set()
             paths.append(PathSlice(
                 logop=logop,
                 instrs=instrs,
                 entry_function=fn_name,
                 entry_block=block,
                 crossed_functions=tuple(sorted(traversed - {fn_name})),
-                verdicts=frozenset(walk.seen),
+                verdicts=frozenset(walk.seen | unchecked),
             ))
-            if "call" in walk.seen and "source" not in walk.seen:
-                low[-1] = -1  # the unchecked-call rule reads the whole path
-                if _unchecked_external_call(paths[-1], walk.taint, value_keys):
-                    paths[-1].verdicts |= {"unchecked"}
     return paths, False
 
 
@@ -447,45 +479,9 @@ def taint_analysis(slice_: PathSlice, value_keys: dict[str, tuple],
     return TaintResult(tainted=bool(sources), taint_keys=walk.taint, sources=sources)
 
 
-def _related_fixpoint(instrs: list[TacInstruction], start: set,
-                      value_keys: dict[str, tuple]) -> set:
-    related = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for t in instrs:
-            keys = {_key(v, value_keys) for v in t.variables}
-            if keys & related and not keys <= related:
-                related |= keys
-                changed = True
-    return related
-
-
 # --------------------------------------------------------------------------
 # detection
 # --------------------------------------------------------------------------
-
-def _unchecked_external_call(slice_: PathSlice, taint: set,
-                             value_keys: dict[str, tuple]) -> bool:
-    """True when the path performs an external call and no JUMPI after it
-    conditions on anything related to the call result or the taint set."""
-    call_positions = [i for i, t in enumerate(slice_.instrs) if t.op in EXTERNAL_CALLS]
-    if not call_positions:
-        return False
-    call_defs = {_key(slice_.instrs[i].defs[0], value_keys)
-                 for i in call_positions if slice_.instrs[i].defs}
-    related = _related_fixpoint(slice_.instrs, taint | call_defs, value_keys)
-    for call_idx in call_positions:
-        # reverse order: smaller index = later in program order
-        later_jumpis = [t for t in slice_.instrs[:call_idx] if t.op == "JUMPI"]
-        constrained = any(
-            len(t.uses) > 1 and _key(t.uses[1], value_keys) in related
-            for t in later_jumpis
-        )
-        if not constrained:
-            return True
-    return False
-
 
 def _event_label(topic0: int | None, sig: str | None) -> str:
     if topic0 is None:

@@ -8,7 +8,7 @@ helper call in front of a LOG, so the search stops after `max_paths`
 paths and marks the event's findings INCOMPLETE.
 """
 
-from phantomscan.evm.opcodes import ENTRY_POINT_OPS
+from phantomscan.evm.opcodes import ENTRY_POINT_OPS, EXTERNAL_CALLS
 from phantomscan.lifter.tac import TacInstruction
 from phantomscan.taint import (
     BytecodeFinding,
@@ -16,7 +16,6 @@ from phantomscan.taint import (
     _event_label,
     _key,
     _path_summary,
-    _unchecked_external_call,
     build_value_keys,
     extract_log_ops,
 )
@@ -130,6 +129,42 @@ def reference_taint(path, value_keys):
     tainted = any(t.op in ENTRY_POINT_OPS and t.defs and _key(t.defs[0], value_keys) in taint
                   for t in path.instrs)
     return tainted, taint
+
+
+def _related_fixpoint(instrs: list[TacInstruction], start: set,
+                      value_keys: dict[str, tuple]) -> set:
+    related = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for t in instrs:
+            keys = {_key(v, value_keys) for v in t.variables}
+            if keys & related and not keys <= related:
+                related |= keys
+                changed = True
+    return related
+
+
+def _unchecked_external_call(slice_: PathSlice, taint: set,
+                             value_keys: dict[str, tuple]) -> bool:
+    """True when the path performs an external call and no JUMPI after it
+    conditions on anything related to the call result or the taint set."""
+    call_positions = [i for i, t in enumerate(slice_.instrs) if t.op in EXTERNAL_CALLS]
+    if not call_positions:
+        return False
+    call_defs = {_key(slice_.instrs[i].defs[0], value_keys)
+                 for i in call_positions if slice_.instrs[i].defs}
+    related = _related_fixpoint(slice_.instrs, taint | call_defs, value_keys)
+    for call_idx in call_positions:
+        # reverse order: smaller index = later in program order
+        later_jumpis = [t for t in slice_.instrs[:call_idx] if t.op == "JUMPI"]
+        constrained = any(
+            len(t.uses) > 1 and _key(t.uses[1], value_keys) in related
+            for t in later_jumpis
+        )
+        if not constrained:
+            return True
+    return False
 
 
 def _anchored(path, taint, value_keys):

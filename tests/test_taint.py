@@ -436,6 +436,17 @@ def one_function(body: list) -> Bytecode:
     ]))
 
 
+def flag_branches(k: int, arm: list) -> list:
+    """k independent JUMPI diamonds on calldata flags, both arms `arm`."""
+    body = []
+    for i in range(k):
+        body += [("PUSH2", 0x24 + 0x20 * i), "CALLDATALOAD", ("pushl", f"t{i}"), "JUMPI",
+                 *arm, ("pushl", f"j{i}"), "JUMP",
+                 ("label", f"t{i}"), "JUMPDEST", *arm,
+                 ("label", f"j{i}"), "JUMPDEST"]
+    return body
+
+
 def diamonds(k: int, carry: bool = False, sstore: bool = False) -> Bytecode:
     """k independent JUMPI diamonds on calldata flags, then a LOG1 of
     calldata word 4, as in the benchmark's diamond-k contracts.  With
@@ -444,14 +455,24 @@ def diamonds(k: int, carry: bool = False, sstore: bool = False) -> Bytecode:
     also written to storage."""
     body = [("PUSH1", 4), "CALLDATALOAD", ("PUSH1", 7), "SSTORE"] if sstore else []
     body += [("PUSH1", 4), "CALLDATALOAD"] if carry else []
-    arm = ["DUP1", "POP"] if carry else [("PUSH1", 0x55), "POP"]
-    for i in range(k):
-        body += [("PUSH2", 0x24 + 0x20 * i), "CALLDATALOAD", ("pushl", f"t{i}"), "JUMPI",
-                 *arm, ("pushl", f"j{i}"), "JUMP",
-                 ("label", f"t{i}"), "JUMPDEST", *arm,
-                 ("label", f"j{i}"), "JUMPDEST"]
+    body += flag_branches(k, ["DUP1", "POP"] if carry else [("PUSH1", 0x55), "POP"])
     body += [] if carry else [("PUSH1", 4), "CALLDATALOAD"]
     return one_function(body + [("PUSH1", 0), "MSTORE", *log1_of_word0("Settled(uint256)"), "STOP"])
+
+
+EXTERNAL_CALL = [*[("PUSH1", 0)] * 6, "GAS", "CALL"]  # leaves the call's result
+CHECK = ["ISZERO", ("pushl", "revert"), "JUMPI"]  # reverts when the value is 0
+
+
+def call_and_branches(k: int, call_below: bool, checked: bool = False) -> Bytecode:
+    """An external call above or below k calldata diamonds, then a LOG1 of
+    a constant.  The call's result is dropped, or with `checked` goes
+    through ISZERO to a JUMPI to revert."""
+    call = [*EXTERNAL_CALL, *(CHECK if checked else ["POP"])]
+    branches = flag_branches(k, [("PUSH1", 0x55), "POP"])
+    body = branches + call if call_below else call + branches
+    return one_function(body + [("PUSH1", 42), ("PUSH1", 0), "MSTORE",
+                                *log1_of_word0("Paid(uint256)"), "STOP"])
 
 
 def repeated_calls(n: int) -> Bytecode:
@@ -482,6 +503,8 @@ def same_as_reference(icfg, sigdb=None) -> bool:
 
 UNANCHORED = [("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE",
                (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
+UNCHECKED = [("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL",
+              (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
 
 
 class TestJoinsAndRepeatedCalls:
@@ -503,6 +526,26 @@ class TestJoinsAndRepeatedCalls:
             findings = detect(icfg)
         assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
         assert len(findings[0].paths) == paths
+
+    @pytest.mark.parametrize("call_below", [False, True], ids=["call-above", "call-below"])
+    @pytest.mark.parametrize("k", [9, 16])
+    def test_unchecked_call_with_many_branches_gives_one_path(self, k, call_below):
+        # every arm reaches the join in the same state, the call's result
+        # and the flags the JUMPIs read in classes of their own
+        icfg = build_icfg(call_and_branches(k, call_below))
+        with _time_box(2.0):
+            findings = detect(icfg)
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNCHECKED
+        assert len(findings[0].paths) == 1
+
+    @pytest.mark.parametrize("call_below", [False, True], ids=["call-above", "call-below"])
+    @pytest.mark.parametrize("k", [9, 16])
+    def test_checked_call_with_many_branches_is_clean(self, k, call_below):
+        icfg = build_icfg(call_and_branches(k, call_below, checked=True))
+        with _time_box(2.0):
+            assert detect(icfg) == []
+        op, = extract_log_ops(icfg)
+        assert backward_slice(icfg, op)[1] is False
 
     @staticmethod
     def branch(before: list, first: list, second: list, log: list) -> Bytecode:
@@ -533,7 +576,7 @@ class TestJoinsAndRepeatedCalls:
         pytest.param(
             [("PUSH1", 42)],
             [],
-            [*[("PUSH1", 0)] * 6, "GAS", "CALL", "POP"],
+            [*EXTERNAL_CALL, "POP"],
             ("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL"), id="external-call"),
         # the caller is logged; the first arm stores a caller read of its own,
         # which counts only once the walk reaches the logged read above the
@@ -553,10 +596,10 @@ class TestJoinsAndRepeatedCalls:
     def test_a_checked_arm_does_not_hide_an_unchecked_one(self):
         # an external call, then a branch whose first-walked arm checks the
         # call's result and whose other arm does not: the second arm reaches
-        # the branch in the state the first left there, but the unchecked-call
-        # rule reads whole paths, so it is walked on
+        # the branch with the same taint as the first, but with the call's
+        # result and the checked conditions still apart, so it is walked on
         icfg = build_icfg(one_function([
-            *[("PUSH1", 0)] * 6, "GAS", "CALL",
+            *EXTERNAL_CALL,
             ("PUSH2", 0x24), "CALLDATALOAD", ("pushl", "unchecked"), "JUMPI",
             "DUP1", "ISZERO", ("pushl", "revert"), "JUMPI", ("pushl", "join"), "JUMP",
             ("label", "unchecked"), "JUMPDEST",
@@ -567,6 +610,24 @@ class TestJoinsAndRepeatedCalls:
         assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == [
             ("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL",
              (f"func_{SELECTOR_BASE:08x}",), "POTENTIAL")]
+        assert same_as_reference(icfg)
+
+    @pytest.mark.parametrize("order", ["as-written", "swapped"])
+    def test_arms_that_relate_keys_differently_are_both_walked(self, order):
+        # the call's result is added to word 0xa4 and the JUMPI below the
+        # join checks word 0xc4; only the arm that adds the two words
+        # relates the check to the call.  Both arms reach the call's block
+        # with the same taint, and differ only in whether the two words,
+        # which a later step can read, are in one class
+        together = [("PUSH1", 0xA4), "CALLDATALOAD", ("PUSH1", 0xC4), "CALLDATALOAD", "ADD", "POP"]
+        apart = [("PUSH1", 0xA4), "CALLDATALOAD", "POP", ("PUSH1", 0xC4), "CALLDATALOAD", "POP"]
+        first, second = (together, apart) if order == "as-written" else (apart, together)
+        icfg = build_icfg(self.branch(
+            [*EXTERNAL_CALL, ("PUSH1", 0xA4), "CALLDATALOAD", "ADD", "POP", ("PUSH1", 42)],
+            first, second,
+            [("PUSH1", 0xC4), "CALLDATALOAD", ("pushl", "revert"), "JUMPI",
+             *log1_of_word0("Paid(uint256)")]))
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in detect(icfg)] == UNCHECKED
         assert same_as_reference(icfg)
 
     def test_repeated_calls_resolve_to_each_call_site(self):
@@ -586,13 +647,25 @@ STEPS = {
     "store": ["DUP1", ("PUSH1", 2), "SSTORE"],
     "reset": ["POP", ("PUSH1", 0)],
 }
+# external calls and the calldata words A = 0xa4 and B = 0xc4, away from
+# the flags of branches and loops; none changes the value.  Every call
+# ends its block, so that a branch below it is a block of its own
+CALL_STEPS = {
+    "unchecked": [*EXTERNAL_CALL, "POP", "JUMPDEST"],
+    "checked": [*EXTERNAL_CALL, *CHECK],
+    "call-a": [*EXTERNAL_CALL, ("PUSH1", 0xA4), "CALLDATALOAD", "ADD", "POP", "JUMPDEST"],
+    "together": [("PUSH1", 0xA4), "CALLDATALOAD", ("PUSH1", 0xC4), "CALLDATALOAD", "ADD", "POP"],
+    "apart": [("PUSH1", 0xA4), "CALLDATALOAD", "POP", ("PUSH1", 0xC4), "CALLDATALOAD", "POP"],
+    "check-b": [("PUSH1", 0xC4), "CALLDATALOAD", *CHECK],
+}
 
 
 def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0),)) -> Bytecode:
     """One function that pushes `start`, changes that value by each of
-    `segments` and logs it.  A segment is a STEPS name, "inc" (the value
-    goes through a one-block helper with a HELPER_BODIES body), "side" (the
-    helper runs on a constant, whose result is dropped), or a tuple
+    `segments` and logs it.  A segment is a STEPS or CALL_STEPS name,
+    "inc" (the value goes through a one-block helper with a HELPER_BODIES
+    body), "side" (the helper runs on a constant, whose result is
+    dropped), or a tuple
     (kind, first, second[, head]) with kind "branch", "loop", "break" or
     "rotated": a calldata flag chooses between two lists of segments, the
     fall-through `first` walked first.  A loop runs the segments `head`
@@ -609,7 +682,7 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
         if seg in ("inc", "side"):
             return call if seg == "inc" else [("PUSH1", 9), *call, "POP"]
         if isinstance(seg, str):
-            return STEPS[seg]
+            return STEPS.get(seg) or CALL_STEPS[seg]
         kind, first, second, head = (*seg, [])[:4]
         head, first, second = ([x for s in arm for x in emit(s)] for arm in (head, first, second))
         branch = [("PUSH2", 0x24 + 0x20 * (n % 3)), "CALLDATALOAD", ("pushl", f"s{n}"), "JUMPI"]
@@ -663,6 +736,24 @@ def loop_segments(rng: random.Random) -> list:
 
     return [loop(0) if rng.random() < 0.7 else rng.choice(list(STEPS))
             for _ in range(rng.randrange(1, 4))]
+
+
+def call_segments(rng: random.Random) -> list:
+    """External calls and JUMPIs on B as steps, and branches and a few
+    loops whose arms mostly read the words A and B together or apart, so
+    that whether a JUMPI on B checks a call depends on the arm."""
+    def arm() -> list:
+        return [rng.choice(["together", "apart"] * 4 + list(CALL_STEPS) + ["inc", "one"])
+                for _ in range(rng.randrange(1, 3))]
+    out = []
+    for _ in range(rng.randrange(2, 5)):
+        kind = rng.choice(["step"] * 3 + ["branch"] * 3 + ["loop"])
+        out += ([rng.choice(["call-a", "check-b"] * 2 + ["unchecked", "checked"])] if kind == "step"
+                else [(kind, arm(), arm())])
+    return out + ["check-b"] * rng.randrange(2)
+
+
+CALL_STARTS = [(("PUSH1", 0),)] * 3 + [("CALLER",)]  # a constant logged, mostly
 
 
 class TestAgainstReference:
@@ -764,6 +855,15 @@ class TestAgainstReference:
                                                      (("PUSH1", 4), "CALLDATALOAD")])))
             compared += same_as_reference(icfg)
         assert compared > 140
+
+    def test_call_dense_programs(self):
+        rng = random.Random(5)
+        compared = 0
+        for _ in range(200):
+            icfg = build_icfg(structured(call_segments(rng), rng.choice(list(HELPER_BODIES)),
+                                         rng.choice(CALL_STARTS)))
+            compared += same_as_reference(icfg)
+        assert compared > 180
 
     def test_helpers_that_share_their_return_block(self):
         # two helpers jump to one tail block that adds 1 and returns, so

@@ -3,12 +3,17 @@
     python tools/reference_check.py SEED N
 
 Builds N seeded programs from each generator of the test suite
-(`structured` programs of `random_segments` and of `loop_segments`, and
-the fuzz suite's `_random_code` and `_random_call_code`), runs `detect`
-and the exhaustive `reference_detect` from `tests/reference_slice.py` on
-each, and prints one line per generator:
+(`structured` programs of `random_segments`, of `loop_segments` and of
+`call_segments`, and the fuzz suite's `_random_code` and
+`_random_call_code`), runs `detect` and the exhaustive
+`reference_detect` from `tests/reference_slice.py` on each, and prints
+one line per generator:
 
     <generator> <programs> <complete> <mismatches>
+
+The search judges each listed path on its own, the unchecked-call
+rule included (`_unchecked_external_call` re-reads the whole path),
+where the walk decides every rule from its merged state.
 
 A program is complete when the exhaustive search finished every log
 site; a mismatch is a program where the two give different findings on
@@ -35,18 +40,20 @@ def main(argv: list[str]) -> int:
     from phantomscan.evm import Bytecode
     from phantomscan.lifter import build_icfg
     from test_fuzz import _random_call_code, _random_code
-    from test_taint import HELPER_BODIES, loop_segments, random_segments, same_as_reference, structured
+    from test_taint import (CALL_STARTS, HELPER_BODIES, call_segments, loop_segments,
+                            random_segments, same_as_reference, structured)
 
-    def structured_with(segments):
+    def structured_with(segments, starts=((("PUSH1", 0),), ("CALLER",),
+                                          (("PUSH1", 4), "CALLDATALOAD"))):
         def make(rng: random.Random) -> Bytecode:
             return structured(segments(rng), rng.choice(list(HELPER_BODIES)),
-                              rng.choice([(("PUSH1", 0),), ("CALLER",),
-                                          (("PUSH1", 4), "CALLDATALOAD")]))
+                              rng.choice(starts))
         return make
 
     generators = {
         "random_segments": structured_with(random_segments),
         "loop_segments": structured_with(loop_segments),
+        "call_segments": structured_with(call_segments, CALL_STARTS),
         "random_code": lambda rng: Bytecode(code=_random_code(rng)),
         "random_call_code": lambda rng: Bytecode(code=_random_call_code(rng)[0]),
     }
