@@ -8,6 +8,11 @@ number of blocks, a jump to a caller-supplied (entry-slot) address.
 Blocks reachable from more than one entry are owned by each function
 separately, so path enumeration never leaks between functions; a
 LOG-bearing helper stays a single separate unit connected by call edges.
+
+A function's own graph (`FunctionUnit.succ`, `pred`) steps from each call
+block to its return block, for ownership and the memory model's block
+chains; the taint walk crosses a call through its callee instead, unless
+the callee has no exit block to the return block (a tail-jumping helper).
 """
 
 from __future__ import annotations
@@ -95,9 +100,6 @@ class FunctionUnit:
     block_offsets: set[int] = field(default_factory=set)
     succ: dict[int, list[int]] = field(default_factory=dict)
     pred: dict[int, list[int]] = field(default_factory=dict)
-    # join block -> entry-stack slot -> predecessor -> source variable
-    phis: dict[int, dict[int, dict[int, str]]] = field(default_factory=dict)
-    lift_failed: set[int] = field(default_factory=set)
 
     def __repr__(self) -> str:
         return f"<fn {self.name} entry={self.entry:#x} blocks={len(self.block_offsets)}>"
@@ -203,10 +205,7 @@ class Icfg:
                             "successors": [f"{s:#x}" for s in fn.succ.get(off, [])],
                             "unresolved": self.blocks[off].has_unresolved_jump,
                             "tac": [str(t) for t in self.lifted[off].tac],
-                            "phis": {
-                                str(slot): {f"{p:#x}": v for p, v in sorted(srcs.items())}
-                                for slot, srcs in sorted(fn.phis.get(off, {}).items())
-                            },
+                            "phis": self._phis(fn, off),
                         }
                         for off in sorted(fn.block_offsets)
                     },
@@ -215,6 +214,14 @@ class Icfg:
             },
         }
         return jsonout.dumps(doc)
+
+    def _phis(self, fn: FunctionUnit, off: int) -> dict[str, dict[str, str]]:
+        """A join block's entry slot -> predecessor -> source variable."""
+        preds = fn.pred.get(off, [])
+        if len(preds) < 2:
+            return {}
+        return {str(k): {f"{p:#x}": self.lifted[p].exit_var(k) for p in preds}
+                for k in range(self.lifted[off].extern_consumed)}
 
     def to_dot(self) -> str:
         lines = ["digraph icfg {", "  node [shape=box fontname=monospace];"]
@@ -361,8 +368,6 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
                 fn.pred.setdefault(s, []).append(off)
         for off in fn.pred:
             fn.pred[off].sort()
-        _place_phis(fn, lifted)
-        _check_stack_heights(fn, lifted)
 
     entry_to_fn = {fn.entry: fn.name for fn in functions.values()}
     for b, t, r in raw_call_edges:
@@ -382,41 +387,3 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
         unresolved_jumps=unresolved,
         consts=consts,
     )
-
-
-def _place_phis(fn: FunctionUnit, lifted: dict[int, LiftedBlock]) -> None:
-    for off in fn.block_offsets:
-        preds = fn.pred.get(off, [])
-        consumed = lifted[off].extern_consumed
-        if len(preds) < 2 or consumed == 0:
-            continue
-        slots: dict[int, dict[int, str]] = {}
-        for k in range(consumed):
-            slots[k] = {p: lifted[p].exit_var(k) for p in preds}
-        fn.phis[off] = slots
-
-
-def _check_stack_heights(fn: FunctionUnit, lifted: dict[int, LiftedBlock]) -> None:
-    """Relative stack-height propagation.
-
-    A join reached at differing heights only matters if the block reads
-    its entry stack: then the per-slot sources disagree across frames
-    and the block cannot be lifted soundly, so it is excluded from path
-    enumeration.  Joins that ignore their stack (shared revert stubs)
-    are harmless at any height.
-    """
-    heights: dict[int, int] = {fn.entry: 0}
-    frontier = [fn.entry]
-    while frontier:
-        off = frontier.pop()
-        lb = lifted[off]
-        out = heights[off] + len(lb.exit_stack) - lb.extern_consumed
-        for s in fn.succ.get(off, []):
-            if s not in fn.block_offsets:
-                continue
-            if s in heights:
-                if heights[s] != out and lifted[s].extern_consumed > 0:
-                    fn.lift_failed.add(s)
-            else:
-                heights[s] = out
-                frontier.append(s)

@@ -323,16 +323,19 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     distinct (entry, state), each with its `_Walk` verdicts; and whether
     MAX_PATHS ran out.  Depth-first, the walk tries predecessors, then
     return edges, then call edges, crossing each edge at most once per
-    path.  It stops at a block in a state a finished walk left there:
-    call context, entry slots to bridge, and the state a later step can
-    read: of the environment keys, the block's own and bridged entry
-    slots and the keys of `icfg.revisitable` blocks, those tainted and,
-    while the unchecked-call verdict is open, their classes.  A walk is
-    recorded as finished only if nothing below it read what the state
-    leaves out, an edge its path had crossed before; this one rule keeps
-    loops exact, as a path back into a loop block tries again the edge
-    it left it by.  Paths share their common part through (segment,
-    rest) links."""
+    path.  It crosses a call through its callee, into the callee's exit
+    blocks and back from its entry to the call block; the caller's own
+    call-block -> return-block edge is walked only for a call whose
+    callee has no exit block to that return block.  It stops at a block
+    in a state a finished walk left there: call context, entry slots to
+    bridge, and the state a later step can read: of the environment
+    keys, the block's own and bridged entry slots and the keys of
+    `icfg.revisitable` blocks, those tainted and, while the
+    unchecked-call verdict is open, their classes.  A walk is recorded
+    as finished only if nothing below it read what the state leaves out,
+    an edge its path had crossed before; this one rule keeps loops
+    exact, as a path back into a loop block tries again the edge it left
+    it by.  Paths share their common part through (segment, rest) links."""
     value_keys = build_value_keys(icfg)
     env = set(value_keys.values())
     revisitable = icfg.revisitable
@@ -400,8 +403,6 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
         elif kind == "visit":
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
-            if block in fn.lift_failed:
-                continue
             bridge = frozenset(pending.get(block, ()))
             if block not in owns:
                 owns[block] = {("v", v) for t in icfg.lifted[block].tac for v in t.variables
@@ -416,9 +417,11 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             mark = len(walk.trail)
             low.append(mark)
             stack.append(("finish", state, block, mark))
+            returns = icfg.return_edges_at(fn_name, block)
+            through = {e.call_block for e in returns if icfg.callee_exit_blocks(e)}
             moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
-                     for pred in fn.pred.get(block, [])]
-            for edge in icfg.return_edges_at(fn_name, block):
+                     for pred in fn.pred.get(block, []) if pred not in through]
+            for edge in returns:
                 for exit_block in icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),
                                   ("ret", edge.caller, edge.call_block, exit_block)))

@@ -3,9 +3,11 @@
 `reference_slice` lists every acyclic reverse path from a LOG site to a
 function entry, crossing each directed edge at most once per path, and
 `reference_detect` runs the single-pass taint rule over each listed path
-on its own.  The path count doubles with every independent branch or
-helper call in front of a LOG, so the search stops after `max_paths`
-paths and marks the event's findings INCOMPLETE.
+on its own.  Like the walk, the search crosses a call through its callee
+and takes the caller's call-block -> return-block edge only for a call
+whose callee has no exit block to that return block.  The path count
+doubles with every independent branch in front of a LOG, so the search
+stops after `max_paths` paths and marks the event's findings INCOMPLETE.
 """
 
 from phantomscan.evm.opcodes import ENTRY_POINT_OPS, EXTERNAL_CALLS
@@ -74,11 +76,11 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
         elif kind == "visit":
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
-            if block in fn.lift_failed:
-                continue
+            returns = icfg.return_edges_at(fn_name, block)
+            through = {e.call_block for e in returns if icfg.callee_exit_blocks(e)}
             moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
-                     for pred in fn.pred.get(block, [])]
-            for edge in icfg.return_edges_at(fn_name, block):
+                     for pred in fn.pred.get(block, []) if pred not in through]
+            for edge in returns:
                 for exit_block in icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),
                                   ("ret", edge.caller, edge.call_block, exit_block)))

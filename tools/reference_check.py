@@ -9,7 +9,7 @@ Builds N seeded programs from each generator of the test suite
 `reference_detect` from `tests/reference_slice.py` on each, and prints
 one line per generator:
 
-    <generator> <programs> <complete> <mismatches>
+    <generator> <programs> <complete> <mismatches> <around>
 
 The search judges each listed path on its own, the unchecked-call
 rule included (`_unchecked_external_call` re-reads the whole path),
@@ -17,8 +17,12 @@ where the walk decides every rule from its merged state.
 
 A program is complete when the exhaustive search finished every log
 site; a mismatch is a program where the two give different findings on
-an event whose log sites the search finished.  Exits 1 when there is a
-mismatch.  Needs pytest and hypothesis, as the tests do.
+an event whose log sites the search finished.  `around` counts the
+programs with a call whose callee has no exit block to its return
+block: the only calls that the walk and the search cross along the
+caller's own call-block -> return-block edge, not through the callee.
+Exits 1 when there is a mismatch.  Needs pytest and hypothesis, as the
+tests do.
 """
 
 from __future__ import annotations
@@ -60,15 +64,16 @@ def main(argv: list[str]) -> int:
     failed = False
     for name, make in generators.items():
         rng = random.Random(seed)
-        complete = mismatches = 0
+        complete = mismatches = around = 0
         for _ in range(n):
             icfg = build_icfg(make(rng))
+            around += any(not icfg.callee_exit_blocks(e) for e in icfg.call_edges)
             try:
                 complete += same_as_reference(icfg)
             except AssertionError:
                 mismatches += 1
         failed |= mismatches > 0
-        print(name, n, complete, mismatches, flush=True)
+        print(name, n, complete, mismatches, around, flush=True)
     return 1 if failed else 0
 
 
