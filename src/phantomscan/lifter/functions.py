@@ -11,8 +11,8 @@ LOG-bearing helper stays a single separate unit connected by call edges.
 
 A function's own graph (`FunctionUnit.succ`, `pred`) steps from each call
 block to its return block, for ownership and the memory model's block
-chains; the taint walk crosses a call through its callee instead, unless
-the callee has no exit block to the return block (a tail-jumping helper).
+chains; the taint walk crosses a call through its callee, and takes the
+step only for a call edge whose callee has no exit block to it.
 """
 
 from __future__ import annotations

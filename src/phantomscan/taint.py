@@ -323,14 +323,15 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     distinct (entry, state), each with its `_Walk` verdicts; and whether
     MAX_PATHS ran out.  Depth-first, the walk tries predecessors, then
     return edges, then call edges, crossing each edge at most once per
-    path.  It crosses a call through its callee, into the callee's exit
-    blocks and back from its entry to the call block; the caller's own
-    call-block -> return-block edge is walked only for a call whose
-    callee has no exit block to that return block.  It stops at a block
-    in a state a finished walk left there: call context, entry slots to
-    bridge, and the state a later step can read: of the environment
-    keys, the block's own and bridged entry slots and the keys of
-    `icfg.revisitable` blocks, those tainted and, while the
+    path and call context, and entering no call already in the context.
+    It crosses a call through its callee, and along the caller's own
+    call-block -> return-block edge only for a call edge whose callee
+    has no exit block to the return block (a helper that tail-jumps; a
+    helper that also returns is walked on its returns only).  It stops
+    at a block in a state a finished walk left there: call context,
+    entry slots to bridge, and the state a later step can read: of the
+    environment keys, the block's own and bridged entry slots and the
+    keys of `icfg.revisitable` blocks, those tainted and, while the
     unchecked-call verdict is open, their classes.  A walk is recorded
     as finished only if nothing below it read what the state leaves out,
     an edge its path had crossed before; this one rule keeps loops
@@ -418,13 +419,14 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             low.append(mark)
             stack.append(("finish", state, block, mark))
             returns = icfg.return_edges_at(fn_name, block)
-            through = {e.call_block for e in returns if icfg.callee_exit_blocks(e)}
-            moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
+            around = {e.call_block for e in returns if not icfg.callee_exit_blocks(e)}
+            through = {e.call_block for e in returns} - around
+            moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
                      for pred in fn.pred.get(block, []) if pred not in through]
             for edge in returns:
-                for exit_block in icfg.callee_exit_blocks(edge):
+                for exit_block in [] if edge in context else icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),
-                                  ("ret", edge.caller, edge.call_block, exit_block)))
+                                  ("ret", context, edge.caller, edge.call_block, exit_block)))
             if block == fn.entry:
                 if context:
                     callers = [context[-1]] if context[-1].callee == fn_name else []
@@ -434,7 +436,7 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
                     if not callers:
                         stack.append(("entry", fn_name, block, link))
                 moves += [(edge.caller, edge.call_block, context,
-                           ("call", edge.caller, edge.call_block, fn_name))
+                           ("call", context, edge.caller, edge.call_block, fn_name))
                           for edge in callers]
             stack += [("cross", block, link, mark, *move) for move in reversed(moves)]
         else:

@@ -1,11 +1,12 @@
 """The bytecode layer's former exhaustive path search, kept as a test oracle.
 
 `reference_slice` lists every acyclic reverse path from a LOG site to a
-function entry, crossing each directed edge at most once per path, and
-`reference_detect` runs the single-pass taint rule over each listed path
-on its own.  Like the walk, the search crosses a call through its callee
-and takes the caller's call-block -> return-block edge only for a call
-whose callee has no exit block to that return block.  The path count
+function entry, crossing each directed edge at most once per path and
+call context, and `reference_detect` runs the single-pass taint rule
+over each listed path on its own.  Like the walk, the search crosses a
+call through its callee and takes the caller's call-block ->
+return-block edge only where a call edge from that block has no callee
+exit block to that return block.  The path count
 doubles with every independent branch in front of a LOG, so the search
 stops after `max_paths` paths and marks the event's findings INCOMPLETE.
 """
@@ -77,13 +78,14 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
             returns = icfg.return_edges_at(fn_name, block)
-            through = {e.call_block for e in returns if icfg.callee_exit_blocks(e)}
-            moves = [(fn_name, pred, context, ("cfg", fn_name, pred, block))
+            around = {e.call_block for e in returns if not icfg.callee_exit_blocks(e)}
+            through = {e.call_block for e in returns} - around
+            moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
                      for pred in fn.pred.get(block, []) if pred not in through]
             for edge in returns:
-                for exit_block in icfg.callee_exit_blocks(edge):
+                for exit_block in [] if edge in context else icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),
-                                  ("ret", edge.caller, edge.call_block, exit_block)))
+                                  ("ret", context, edge.caller, edge.call_block, exit_block)))
             if block == fn.entry:
                 if context:
                     callers = [context[-1]] if context[-1].callee == fn_name else []
@@ -93,7 +95,7 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
                     if not callers:
                         stack.append(("entry", fn_name, block, link))
                 moves += [(edge.caller, edge.call_block, context,
-                           ("call", edge.caller, edge.call_block, fn_name))
+                           ("call", context, edge.caller, edge.call_block, fn_name))
                           for edge in callers]
             stack += [("cross", block, link, *move) for move in reversed(moves)]
         else:
