@@ -111,8 +111,8 @@ def fold_constants(lifted: dict[int, LiftedBlock], consts: dict[str, int]) -> di
 
 
 def resolve_jumps(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
-                  values: dict[str, int]) -> int:
-    """Resolve static jump targets; returns the number of unresolved jumps.
+                  values: dict[str, int]) -> None:
+    """Resolve static jump targets, marking the jumps left unresolved.
 
     ``values`` maps variables of the lifted blocks to known constants
     (see ``fold_constants``).  Resolved targets must land on a JUMPDEST:
@@ -129,7 +129,7 @@ def resolve_jumps(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
     The same facts tell which JUMPs are calls (``BasicBlock.calls``).
     """
     if not blocks:
-        return 0
+        return
     jumpdests = {b.offset for b in blocks.values()
                  if b.instructions and b.instructions[0].mnemonic == "JUMPDEST"}
 
@@ -226,4 +226,3 @@ def resolve_jumps(blocks: dict[int, BasicBlock], lifted: dict[int, LiftedBlock],
             blocks[off].calls[callee] = ret
     for block in blocks.values():
         block.predecessors.sort()
-    return sum(1 for b in blocks.values() if b.has_unresolved_jump)

@@ -5,14 +5,20 @@ offset 0 (PUSHn selector; EQ; PUSH dest; JUMPI per branch).  Internal
 helpers are the targets of the calls that jump resolution records: a
 JUMP leaving a JUMPDEST offset on the stack that reaches, through any
 number of blocks, a jump to a caller-supplied (entry-slot) address.
-Blocks reachable from more than one entry are owned by each function
-separately, so path enumeration never leaks between functions; a
-LOG-bearing helper stays a single separate unit connected by call edges.
+Only the dispatcher's branches bound a function: the fallback stops at
+the public entries they select, and any other function owns every block
+its entry reaches other than through a call.  So a jump into another
+function's entry that is not a call (a tail jump) is an ordinary edge of
+the jumping function, which then owns the target's blocks and their
+exits to its own callers' return blocks.  Blocks reachable from more
+than one entry are owned by each function separately, so path
+enumeration never leaks between functions; a LOG-bearing helper stays a
+single separate unit connected by call edges.
 
 A function's own graph (`FunctionUnit.succ`, `pred`) steps from each call
 block to its return block, for ownership and the memory model's block
-chains; the taint walk crosses a call through its callee, and takes the
-step only for a call edge whose callee has no exit block to it.
+chains; the taint walk never takes that step, and crosses every call
+through its callee.
 """
 
 from __future__ import annotations
@@ -120,7 +126,6 @@ class Icfg:
     lifted: dict[int, LiftedBlock]
     functions: dict[str, FunctionUnit]
     call_edges: list[CallEdge]
-    unresolved_jumps: int
     consts: dict[str, int]  # every CONST-defined variable -> its value
     _into: dict[str, list[CallEdge]] = field(init=False, repr=False)
     _returns: dict[tuple[str, int], list[CallEdge]] = field(init=False, repr=False)
@@ -146,6 +151,12 @@ class Icfg:
 
     def callee_exit_blocks(self, edge: CallEdge) -> list[int]:
         return self._exits.get((edge.callee, edge.return_block), [])
+
+    @property
+    def unresolved_jumps(self) -> int:
+        """Jumps with no known target in blocks that some function owns."""
+        owned = set().union(*(fn.block_offsets for fn in self.functions.values()))
+        return sum(self.blocks[off].has_unresolved_jump for off in owned)
 
     @cached_property
     def revisitable(self) -> frozenset[int]:
@@ -287,9 +298,9 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
 
 def _reachable(blocks: dict[int, BasicBlock], entry: int,
                call_by_block: dict[int, int],
-               other_entries: set[int]) -> tuple[set[int], dict[int, list[int]]]:
+               boundaries: set[int]) -> tuple[set[int], dict[int, list[int]]]:
     """Blocks owned by a function entry, with call edges short-circuited
-    to their return blocks and other entries treated as boundaries."""
+    to their return blocks and the `boundaries` left out."""
     owned: set[int] = set()
     succ: dict[int, list[int]] = {}
     frontier = [entry]
@@ -305,7 +316,7 @@ def _reachable(blocks: dict[int, BasicBlock], entry: int,
             # continuation belongs to the callers, not this function
             nexts = []
         else:
-            nexts = [s for s in blocks[off].successors if s not in other_entries]
+            nexts = [s for s in blocks[off].successors if s not in boundaries]
         succ[off] = sorted(set(nexts))
         frontier.extend(nexts)
     return owned, succ
@@ -330,7 +341,7 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
     lifted = {off: lift_block(blocks[off], vars_) for off in sorted(blocks)}
     consts = {t.defs[0]: t.const for lb in lifted.values() for t in lb.tac if t.op == "CONST"}
     values = fold_constants(lifted, consts)
-    unresolved = resolve_jumps(blocks, lifted, values)
+    resolve_jumps(blocks, lifted, values)
 
     branches = _walk_dispatcher(blocks)
     raw_call_edges = [(b, t, r) for b in sorted(blocks) for t, r in blocks[b].calls.items()]
@@ -353,13 +364,12 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
         functions[f"helper_{entry:#x}"] = FunctionUnit(f"helper_{entry:#x}", entry)
 
     call_by_block = {b: r for b, _, r in raw_call_edges}
-    all_entries = {fn.entry for fn in functions.values()}
 
     call_edges: list[CallEdge] = []
     for name in sorted(functions):
         fn = functions[name]
-        boundaries = all_entries - {fn.entry}
-        owned, succ = _reachable(blocks, fn.entry, call_by_block, boundaries)
+        owned, succ = _reachable(blocks, fn.entry, call_by_block,
+                                  public_entries if name == "fallback" else set())
         fn.block_offsets = owned
         fn.succ = succ
         fn.pred = {}
@@ -384,6 +394,5 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
         lifted=lifted,
         functions=functions,
         call_edges=sorted(call_edges, key=lambda e: (e.caller, e.call_block, e.callee)),
-        unresolved_jumps=unresolved,
         consts=consts,
     )

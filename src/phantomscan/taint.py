@@ -130,27 +130,19 @@ def _key(var: str, value_keys: dict[str, tuple]) -> tuple:
 # --------------------------------------------------------------------------
 
 def extract_log_ops(icfg: Icfg) -> list[LogOp]:
-    """Every LOG site, each owned by exactly one function.
-
-    If cloning ever leaves one LOG block inside several functions the
-    deterministic owner is the non-fallback function that sorts first.
-    """
+    """Every LOG site, once per function that owns its block: a block a
+    function tail-jumps into belongs to the jumping function too, and
+    each owner reaches the LOG from its own callers."""
     owners: dict[int, list[str]] = {}
-    for name in sorted(icfg.functions, key=lambda n: (n == "fallback", n)):
+    for name in sorted(icfg.functions):
         for off in icfg.functions[name].block_offsets:
             owners.setdefault(off, []).append(name)
 
-    out: list[LogOp] = []
-    seen_pcs: set[int] = set()
-    for off in sorted(icfg.lifted):
-        for idx, t in enumerate(icfg.lifted[off].tac):
-            if not t.op.startswith("LOG") or t.op == "LOG":
-                continue
-            if t.pc in seen_pcs or off not in owners:
-                continue
-            seen_pcs.add(t.pc)
-            out.append(_make_log_op(icfg, owners[off][0], off, idx, t))
-    return out
+    return [_make_log_op(icfg, name, off, idx, t)
+            for off in sorted(owners)
+            for idx, t in enumerate(icfg.lifted[off].tac)
+            if t.op.startswith("LOG") and t.op != "LOG"
+            for name in owners[off]]
 
 
 def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
@@ -324,13 +316,10 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     MAX_PATHS ran out.  Depth-first, the walk tries predecessors, then
     return edges, then call edges, crossing each edge at most once per
     path and call context, and entering no call already in the context.
-    It crosses a call through its callee, and along the caller's own
-    call-block -> return-block edge only for a call edge whose callee
-    has no exit block to the return block (a helper that tail-jumps; a
-    helper that also returns is walked on its returns only).  It stops
-    at a block in a state a finished walk left there: call context,
-    entry slots to bridge, and the state a later step can read: of the
-    environment keys, the block's own and bridged entry slots and the
+    It crosses every call through its callee, never along the caller's
+    own call-block -> return-block edge.  It stops at a block in a
+    state a finished walk left there: call context, entry slots to
+    bridge, and the state a later step can read: of the environment keys, the block's own and bridged entry slots and the
     keys of `icfg.revisitable` blocks, those tainted and, while the
     unchecked-call verdict is open, their classes.  A walk is recorded
     as finished only if nothing below it read what the state leaves out,
@@ -419,10 +408,9 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             low.append(mark)
             stack.append(("finish", state, block, mark))
             returns = icfg.return_edges_at(fn_name, block)
-            around = {e.call_block for e in returns if not icfg.callee_exit_blocks(e)}
-            through = {e.call_block for e in returns} - around
+            call_blocks = {e.call_block for e in returns}
             moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
-                     for pred in fn.pred.get(block, []) if pred not in through]
+                     for pred in fn.pred.get(block, []) if pred not in call_blocks]
             for edge in returns:
                 for exit_block in [] if edge in context else icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),

@@ -3,10 +3,9 @@
 `reference_slice` lists every acyclic reverse path from a LOG site to a
 function entry, crossing each directed edge at most once per path and
 call context, and `reference_detect` runs the single-pass taint rule
-over each listed path on its own.  Like the walk, the search crosses a
-call through its callee and takes the caller's call-block ->
-return-block edge only where a call edge from that block has no callee
-exit block to that return block.  The path count
+over each listed path on its own.  Like the walk, the search crosses
+every call through its callee, never along the caller's call-block ->
+return-block edge.  The path count
 doubles with every independent branch in front of a LOG, so the search
 stops after `max_paths` paths and marks the event's findings INCOMPLETE.
 """
@@ -78,10 +77,9 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
             returns = icfg.return_edges_at(fn_name, block)
-            around = {e.call_block for e in returns if not icfg.callee_exit_blocks(e)}
-            through = {e.call_block for e in returns} - around
+            call_blocks = {e.call_block for e in returns}
             moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
-                     for pred in fn.pred.get(block, []) if pred not in through]
+                     for pred in fn.pred.get(block, []) if pred not in call_blocks]
             for edge in returns:
                 for exit_block in [] if edge in context else icfg.callee_exit_blocks(edge):
                     moves.append((edge.callee, exit_block, context + (edge,),

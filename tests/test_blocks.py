@@ -12,8 +12,8 @@ def lifted_blocks_of(hexcode: str):
     vars_ = _VarSource()
     lifted = {off: lift_block(blocks[off], vars_) for off in sorted(blocks)}
     consts = {t.defs[0]: t.const for lb in lifted.values() for t in lb.tac if t.op == "CONST"}
-    unresolved = resolve_jumps(blocks, lifted, fold_constants(lifted, consts))
-    return blocks, lifted, unresolved
+    resolve_jumps(blocks, lifted, fold_constants(lifted, consts))
+    return blocks, lifted, sum(b.has_unresolved_jump for b in blocks.values())
 
 
 def blocks_of(hexcode: str):

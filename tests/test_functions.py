@@ -9,7 +9,7 @@ from phantomscan._keccak import function_selector
 from phantomscan.evm import Bytecode
 from phantomscan.lifter import Icfg, SigDb, SigDbError, build_icfg
 from phantomscan.resources import fixture_path
-from test_taint import callers
+from test_taint import callers, structured
 
 
 def icfg_for(name: str) -> Icfg:
@@ -86,6 +86,14 @@ class TestOwnershipAndSharing:
                      "emit_helper", "nocheck_call", "checked_call"]:
             icfg = icfg_for(name)
             assert icfg.unresolved_jumps == 0, name
+
+    def test_a_jump_no_function_owns_is_not_counted(self):
+        # the helper is never called, so nothing supplies its return
+        # jump's target, and no function owns that jump's block
+        icfg = build_icfg(structured(["caller"], "store", ("CALLER",)))
+        assert icfg.blocks[0x52].has_unresolved_jump
+        assert all(0x52 not in fn.block_offsets for fn in icfg.functions.values())
+        assert icfg.unresolved_jumps == 0
 
 
 class TestCallEdges:

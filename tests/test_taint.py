@@ -42,8 +42,7 @@ def topic(sig: str) -> int:
 # --------------------------------------------------------------------------
 # independent path oracle: enumerates (function, block) traces backwards
 # over the plain block graph, one crossing per directed edge and call
-# context, crossing a call through its callee, or around it for a call
-# edge whose callee has no exit to the return block
+# context, crossing every call through its callee
 # --------------------------------------------------------------------------
 
 def oracle_traces(icfg, logop) -> set:
@@ -52,10 +51,9 @@ def oracle_traces(icfg, logop) -> set:
     def go(fn_name, block, ctx, used, trace):
         fn = icfg.functions[fn_name]
         returns = icfg.return_edges_at(fn_name, block)
-        around = {e.call_block for e in returns if not icfg.callee_exit_blocks(e)}
         moves = []
         for p in fn.pred.get(block, []):
-            if p in around or all(e.call_block != p for e in returns):
+            if all(e.call_block != p for e in returns):
                 moves.append((("cfg", ctx, fn_name, p, block), fn_name, p, ctx))
         for e in returns:
             if e in ctx:
@@ -672,7 +670,8 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
     `segments` and logs it.  A segment is a STEPS or CALL_STEPS name,
     "inc" (the value goes through a one-block helper with a HELPER_BODIES
     body), "side" (the helper runs on a constant, whose result is
-    dropped), or a tuple
+    dropped), "tail" (a second helper drops the value, reverts on a zero
+    word B and tail-jumps into the first helper on 9), or a tuple
     (kind, first, second[, head]) with kind "branch", "loop", "break" or
     "rotated": a calldata flag chooses between two lists of segments, the
     fall-through `first` walked first.  A loop runs the segments `head`
@@ -685,9 +684,10 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
 
     def emit(seg) -> list:
         n = next(counter)
-        call = [("pushl", f"r{n}"), ("pushl", "helper"), "JUMP", ("label", f"r{n}"), "JUMPDEST"]
-        if seg in ("inc", "side"):
-            return call if seg == "inc" else [("PUSH1", 9), *call, "POP"]
+        callee = "tail" if seg == "tail" else "helper"
+        call = [("pushl", f"r{n}"), ("pushl", callee), "JUMP", ("label", f"r{n}"), "JUMPDEST"]
+        if seg in ("inc", "side", "tail"):
+            return [("PUSH1", 9), *call, "POP"] if seg == "side" else call
         if isinstance(seg, str):
             return STEPS.get(seg) or CALL_STEPS[seg]
         kind, first, second, head = (*seg, [])[:4]
@@ -705,9 +705,13 @@ def structured(segments: list, helper: str = "add", start: tuple = (("PUSH1", 0)
                     *test, ("pushl", f"b{n}"), "JUMP", ("label", f"o{n}"), "JUMPDEST"]
         return [*test, *body, ("label", f"o{n}"), "JUMPDEST"]
 
-    return one_function([*start, *(x for seg in segments for x in emit(seg)),
-                         ("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)"), "STOP",
-                         ("label", "helper"), "JUMPDEST", *HELPER_BODIES[helper], "JUMP"])
+    code = [*start, *(x for seg in segments for x in emit(seg)),
+            ("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)"), "STOP",
+            ("label", "helper"), "JUMPDEST", *HELPER_BODIES[helper], "JUMP"]
+    if ("pushl", "tail") in code:
+        code += [("label", "tail"), "JUMPDEST", "SWAP1", "POP", ("PUSH1", 0xC4), "CALLDATALOAD",
+                 *CHECK, ("PUSH1", 9), "SWAP1", ("pushl", "helper"), "JUMP"]
+    return one_function(code)
 
 
 def swapped(segments: list) -> list:
@@ -746,16 +750,18 @@ def loop_segments(rng: random.Random) -> list:
 
 
 def call_segments(rng: random.Random) -> list:
-    """External calls and JUMPIs on B as steps, and branches and a few
-    loops whose arms mostly read the words A and B together or apart, so
-    that whether a JUMPI on B checks a call depends on the arm."""
+    """External calls, JUMPIs on B and helper calls, some through a
+    helper that tail-jumps into the other, as steps, and branches and a
+    few loops whose arms mostly read the words A and B together or
+    apart, so that whether a JUMPI on B checks a call depends on the arm."""
     def arm() -> list:
-        return [rng.choice(["together", "apart"] * 4 + list(CALL_STEPS) + ["inc", "one"])
+        return [rng.choice(["together", "apart"] * 4 + list(CALL_STEPS) + ["inc", "tail", "one"])
                 for _ in range(rng.randrange(1, 3))]
     out = []
     for _ in range(rng.randrange(2, 5)):
         kind = rng.choice(["step"] * 3 + ["branch"] * 3 + ["loop"])
-        out += ([rng.choice(["call-a", "check-b"] * 2 + ["unchecked", "checked"])] if kind == "step"
+        out += ([rng.choice(["call-a", "check-b"] * 2 + ["unchecked", "checked", "inc", "tail"])]
+                if kind == "step"
                 else [(kind, arm(), arm())])
     return out + ["check-b"] * rng.randrange(2)
 
@@ -946,14 +952,11 @@ class TestCallsThroughTheCallee:
         assert findings[0].paths[0].count("helper_0x62:0x62") == 2
         assert same_as_reference(icfg)
 
-    def test_a_tail_jump_is_walked_around(self):
+    def test_a_tail_jump_is_walked_through_the_jumping_helper(self):
         # f calls b, then a, and a tail-jumps into b, which returns for
-        # both: a has no exit block to its return block, so the walk goes
-        # up that call's own call-block -> return-block edge, and through
-        # b at the first call.  That edge's PHIs read the return label and
-        # the argument as the call's results; the finding is right only
-        # because the argument sits in the slot that the PHI reads, so this
-        # pins today's behaviour, not a correct crossing (ROADMAP item 2)
+        # both: a owns b's block, whose return jump is a's exit block, so
+        # the walk crosses the second call through a and the first
+        # through b
         icfg = build_icfg(one_function([
             ("PUSH1", 4), "CALLDATALOAD",
             ("pushl", "r1"), "SWAP1", ("pushl", "b"), "JUMP", ("label", "r1"), "JUMPDEST",
@@ -962,23 +965,20 @@ class TestCallsThroughTheCallee:
             ("label", "a"), "JUMPDEST", ("PUSH1", 1), "ADD", ("pushl", "b"), "JUMP",
             ("label", "b"), "JUMPDEST", ("PUSH1", 1), "ADD", "SWAP1", "JUMP",
         ]))
-        assert [e.callee for e in icfg.call_edges if not icfg.callee_exit_blocks(e)] == [
-            "helper_0x64"]
-        op, = extract_log_ops(icfg)
-        paths, _ = backward_slice(icfg, op)
-        assert len(paths) >= 1
+        assert [(e.callee, icfg.callee_exit_blocks(e)) for e in icfg.call_edges] == [
+            ("helper_0x6c", [0x6C]), ("helper_0x64", [0x6C])]
         findings = detect(icfg)
         assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
-        assert len(findings[0].paths) == 1
+        assert findings[0].paths == (
+            "func_10000000 [func_10000000:0x24->helper_0x6c:0x6c->func_10000000:0x30"
+            "->helper_0x64:0x64->helper_0x64:0x6c->func_10000000:0x39] log@0x62",)
         assert same_as_reference(icfg)
 
-    def test_a_call_with_one_tail_jumping_target_is_also_walked_around(self):
+    def test_a_call_with_one_tail_jumping_target_is_walked_through_both(self):
         # the call block's jump goes to a or b by a calldata flag; a
-        # returns, b tail-jumps into a.  The call edge to b has no exit
-        # block, so the walk keeps the call block's edge to the return
-        # block for it, besides going through a.  That edge's PHI reads the
-        # argument as b's result: the finding is right by chance, as in the
-        # test above
+        # returns, b adds CALLER and tail-jumps into a.  b owns a's block,
+        # so the walk crosses the call through a and through b into a,
+        # and never along the call block's edge to the return block
         icfg = build_icfg(one_function([
             ("PUSH1", 4), "CALLDATALOAD",
             ("pushl", "a"), ("PUSH1", 0x24), "CALLDATALOAD", ("pushl", "j"), "JUMPI",
@@ -988,13 +988,104 @@ class TestCallsThroughTheCallee:
             ("label", "a"), "JUMPDEST", ("PUSH1", 1), "ADD", "SWAP1", "JUMP",
             ("label", "b"), "JUMPDEST", "CALLER", "ADD", ("pushl", "a"), "JUMP",
         ]))
-        assert [(e.callee, bool(icfg.callee_exit_blocks(e))) for e in icfg.call_edges] == [
-            ("helper_0x68", True), ("helper_0x6e", False)]
+        assert [(e.callee, icfg.callee_exit_blocks(e)) for e in icfg.call_edges] == [
+            ("helper_0x68", [0x68]), ("helper_0x6e", [0x68])]
         op, = extract_log_ops(icfg)
         paths, _ = backward_slice(icfg, op)
-        assert [p.crossed_functions for p in paths] == [()]
-        assert {t for t in oracle_traces(icfg, op) if len(t) == 3} == {
-            (("func_10000000", 0x3d), ("func_10000000", 0x36), ("func_10000000", 0x24))}
+        assert [p.crossed_functions for p in paths] == [("helper_0x68",), ("helper_0x6e",)]
+        assert {t[1] for t in oracle_traces(icfg, op)} == {
+            ("helper_0x68", 0x68), ("helper_0x6e", 0x68)}
         findings = detect(icfg)
         assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
+        assert len(findings[0].paths) == 2
+        assert same_as_reference(icfg)
+
+
+def helper_call(n: int, target: str) -> list:
+    """Call `target` on the value on top of the stack, returning to r`n`."""
+    return [("pushl", f"r{n}"), "SWAP1", ("pushl", target), "JUMP", ("label", f"r{n}"), "JUMPDEST"]
+
+
+# a helper that adds 1 to its argument and returns
+ADD_ONE = [("label", "a"), "JUMPDEST", ("PUSH1", 1), "ADD", "SWAP1", "JUMP"]
+LOG_WORD0 = [("PUSH1", 0), "MSTORE", *log1_of_word0("Paid(uint256)")]
+
+
+class TestTailJumps:
+    """Tail jumps, with answers worked out by hand.  The first three
+    programs call a on 7 first, so that a is a function of its own, and
+    then reach a, or a reaches the other helper, by a tail jump."""
+
+    def test_a_tail_jump_that_drops_the_argument_logs_a_constant(self):
+        # b pops its calldata argument, pushes 9 and tail-jumps into a,
+        # so the logged value is the constant 10 and no input reaches it
+        icfg = build_icfg(one_function([
+            ("PUSH1", 7), *helper_call(1, "a"), "POP",
+            ("PUSH1", 4), "CALLDATALOAD", *helper_call(2, "b"), *LOG_WORD0, "STOP", *ADD_ONE,
+            ("label", "b"), "JUMPDEST", "POP", ("PUSH1", 9), ("pushl", "a"), "JUMP",
+        ]))
+        assert detect(icfg) == []
+        op, = extract_log_ops(icfg)
+        paths, exceeded = backward_slice(icfg, op)
+        assert not exceeded
+        assert [(p.crossed_functions, p.verdicts) for p in paths] == [
+            (("helper_0x67", "helper_0x6d"), frozenset())]
+        assert same_as_reference(icfg)
+
+    def test_a_helper_that_returns_or_tail_jumps_is_walked_on_both(self):
+        # c returns 5 when word 0x24 is zero, and otherwise loads word 4
+        # and tail-jumps into a: on that arm word 4 + 1 is logged
+        icfg = build_icfg(one_function([
+            ("PUSH1", 7), *helper_call(1, "a"), "POP",
+            ("pushl", "r2"), ("pushl", "c"), "JUMP", ("label", "r2"), "JUMPDEST",
+            *LOG_WORD0, "STOP", *ADD_ONE,
+            ("label", "c"), "JUMPDEST", ("PUSH1", 0x24), "CALLDATALOAD", ("pushl", "arm"), "JUMPI",
+            ("PUSH1", 5), "SWAP1", "JUMP",
+            ("label", "arm"), "JUMPDEST", ("PUSH1", 4), "CALLDATALOAD", ("pushl", "a"), "JUMP",
+        ]))
+        findings = detect(icfg)
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
+        assert findings[0].paths == (
+            "func_10000000 [func_10000000:0x24->helper_0x63:0x63->func_10000000:0x2f"
+            "->helper_0x69:0x69->helper_0x69:0x75->helper_0x69:0x63->func_10000000:0x38]"
+            " log@0x61",)
+        assert same_as_reference(icfg)
+
+    def test_a_log_in_a_tail_target_is_walked_from_each_owner(self):
+        # a adds 1 and tail-jumps into b, which logs its argument and
+        # returns it.  f calls a on 7 and then b on word 4, so the LOG
+        # block belongs to a and to b, and only the walk from b's copy
+        # reaches word 4
+        icfg = build_icfg(one_function([
+            ("PUSH1", 7), *helper_call(1, "a"), "POP",
+            ("PUSH1", 4), "CALLDATALOAD", *helper_call(2, "b"), "POP", "STOP",
+            ("label", "a"), "JUMPDEST", ("PUSH1", 1), "ADD", ("pushl", "b"), "JUMP",
+            ("label", "b"), "JUMPDEST", "DUP1", *LOG_WORD0, "SWAP1", "JUMP",
+        ]))
+        assert [(op.function, op.block) for op in extract_log_ops(icfg)] == [
+            ("helper_0x3f", 0x47), ("helper_0x47", 0x47)]
+        findings = detect(icfg)
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in findings] == UNANCHORED
+        assert findings[0].paths == (
+            "func_10000000 [func_10000000:0x24->helper_0x3f:0x3f->helper_0x3f:0x47"
+            "->func_10000000:0x2f->helper_0x47:0x47] log@0x71",)
+        assert same_as_reference(icfg)
+
+    def test_a_tail_jump_into_a_public_entry_is_walked_through(self):
+        # two selectors: f0 calls h on word 4, and h tail-jumps into f1's
+        # entry, whose code adds 1 and returns, so word 4 + 1 is logged.
+        # Only the fallback stops at public entries, so h owns f1's block
+        icfg = build_icfg(Bytecode(code=assemble([
+            ("PUSH1", 0), "CALLDATALOAD", ("PUSH1", 0xE0), "SHR",
+            "DUP1", ("PUSH4", SELECTOR_BASE), "EQ", ("pushl", "f0"), "JUMPI",
+            "DUP1", ("PUSH4", SELECTOR_BASE + 1), "EQ", ("pushl", "f1"), "JUMPI",
+            ("PUSH1", 0), ("PUSH1", 0), "REVERT",
+            ("label", "f0"), "JUMPDEST", ("PUSH1", 4), "CALLDATALOAD", *helper_call(0, "h"),
+            *LOG_WORD0, "STOP",
+            ("label", "h"), "JUMPDEST", ("pushl", "f1"), "JUMP",
+            ("label", "f1"), "JUMPDEST", ("PUSH1", 1), "ADD", "SWAP1", "JUMP",
+        ])))
+        edge, = icfg.call_edges
+        assert icfg.callee_exit_blocks(edge) == [icfg.functions["func_10000001"].entry]
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in detect(icfg)] == UNANCHORED
         assert same_as_reference(icfg)

@@ -4,12 +4,12 @@
 
 Builds N seeded programs from each generator of the test suite
 (`structured` programs of `random_segments`, of `loop_segments` and of
-`call_segments`, and the fuzz suite's `_random_code` and
-`_random_call_code`), runs `detect` and the exhaustive
-`reference_detect` from `tests/reference_slice.py` on each, and prints
-one line per generator:
+`call_segments`, the last with helpers that tail-jump into another
+helper, and the fuzz suite's `_random_code` and `_random_call_code`),
+runs `detect` and the exhaustive `reference_detect` from
+`tests/reference_slice.py` on each, and prints one line per generator:
 
-    <generator> <programs> <complete> <mismatches> <around>
+    <generator> <programs> <complete> <mismatches>
 
 The search judges each listed path on its own, the unchecked-call
 rule included (`_unchecked_external_call` re-reads the whole path),
@@ -17,12 +17,8 @@ where the walk decides every rule from its merged state.
 
 A program is complete when the exhaustive search finished every log
 site; a mismatch is a program where the two give different findings on
-an event whose log sites the search finished.  `around` counts the
-programs with a call whose callee has no exit block to its return
-block: the only calls that the walk and the search cross along the
-caller's own call-block -> return-block edge, not through the callee.
-Exits 1 when there is a mismatch.  Needs pytest and hypothesis, as the
-tests do.
+an event whose log sites the search finished.  Exits 1 when there is
+a mismatch.  Needs pytest and hypothesis, as the tests do.
 """
 
 from __future__ import annotations
@@ -64,16 +60,15 @@ def main(argv: list[str]) -> int:
     failed = False
     for name, make in generators.items():
         rng = random.Random(seed)
-        complete = mismatches = around = 0
+        complete = mismatches = 0
         for _ in range(n):
             icfg = build_icfg(make(rng))
-            around += any(not icfg.callee_exit_blocks(e) for e in icfg.call_edges)
             try:
                 complete += same_as_reference(icfg)
             except AssertionError:
                 mismatches += 1
         failed |= mismatches > 0
-        print(name, n, complete, mismatches, around, flush=True)
+        print(name, n, complete, mismatches, flush=True)
     return 1 if failed else 0
 
 
