@@ -1,8 +1,15 @@
-"""Tokenizer for the restricted contract language."""
+"""Tokenizer for the restricted contract language.
+
+One compiled alternation matches the token at each position.  As in
+Solidity, identifiers are `[A-Za-z_][A-Za-z0-9_]*` and numbers are
+ASCII decimal or `0x` hex digits; any other character outside a `//`
+comment is a syntax error at that character.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import SyntaxError
 
@@ -21,9 +28,16 @@ _SYMBOLS = [
     "=", "!", "<", ">", "+", "-", "*",
 ]
 
+_TOKEN = re.compile("|".join([
+    r"(?P<SPACE>[ \t\r\n]+)",
+    r"(?P<COMMENT>//[^\n]*)",
+    r"(?P<NUMBER>0[xX][0-9a-fA-F]*|[0-9]+)",
+    r"(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<SYMBOL>" + "|".join(re.escape(s) for s in _SYMBOLS) + ")",
+]))
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT NUMBER KEYWORD SYMBOL EOF
     text: str
     pos: int
@@ -37,57 +51,34 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
+    pos, line, line_start = 0, 1, 0
     n = len(source)
-
-    def bump(text: str) -> None:
-        nonlocal i, line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i += len(text)
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            bump(source[i:n] if end < 0 else source[i:end])
-            continue
-        if ch.isdigit():
-            j = i + 1
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
+    match = _TOKEN.match
+    while pos < n:
+        m = match(source, pos)
+        if m is None:
+            raise SyntaxError(line, pos - line_start + 1, "a token", found=repr(source[pos]))
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "SPACE":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+        elif kind == "WORD":
+            tokens.append(Token("KEYWORD" if text in KEYWORDS else "IDENT",
+                                text, pos, line, pos - line_start + 1))
+        elif kind == "NUMBER":
+            col = pos - line_start + 1
+            if text[:2] in ("0x", "0X"):
+                if len(text) == 2:
                     raise SyntaxError(line, col, "hex digits")
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUMBER", source[i:j], i, line, col))
-            bump(source[i:j])
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, i, line, col))
-            bump(text)
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, i, line, col))
-                bump(sym)
-                break
-        else:
-            raise SyntaxError(line, col, "a token", found=repr(ch))
-    tokens.append(Token("EOF", "", n, line, col))
+            elif text[0] == "0" and text.strip("0"):
+                # int(text, 0) takes leading zeros only on zero itself
+                raise SyntaxError(line, col, "a number without leading zeros",
+                                  found=repr(text))
+            tokens.append(Token("NUMBER", text, pos, line, col))
+        elif kind == "SYMBOL":
+            tokens.append(Token("SYMBOL", text, pos, line, pos - line_start + 1))
+        pos = end
+    tokens.append(Token("EOF", "", n, line, n - line_start + 1))
     return tokens

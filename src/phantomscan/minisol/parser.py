@@ -14,6 +14,8 @@ interpreter stack.
 
 from __future__ import annotations
 
+import sys
+
 from . import ast
 from .errors import ResolutionError, SyntaxError
 from .lexer import Token, tokenize
@@ -329,7 +331,7 @@ class _Parser:
         t = self.tok
         if t.kind == "NUMBER":
             self.advance()
-            return ast.Lit(value=int(t.text, 0), span=(t.pos, t.end))
+            return ast.Lit(value=_number(t), span=(t.pos, t.end))
         if self.at("true") or self.at("false"):
             self.advance()
             return ast.BoolLit(value=t.text == "true", span=(t.pos, t.end))
@@ -342,7 +344,7 @@ class _Parser:
                                   found=repr(num.text))
             self.advance()
             close = self.expect(")")
-            return ast.AddressLit(value=int(num.text, 0), span=(t.pos, close.end))
+            return ast.AddressLit(value=_number(num), span=(t.pos, close.end))
         if self.accept("("):
             inner = self.expr()
             close = self.expect(")")
@@ -366,6 +368,15 @@ class _Parser:
             return ast.Name(ident=t.text, span=(t.pos, t.end))
         raise SyntaxError(t.line, t.col, "an expression",
                           found=repr(t.text or "end of input"))
+
+
+def _number(t: Token) -> int:
+    try:
+        return int(t.text, 0)
+    except ValueError:  # more decimal digits than the interpreter converts
+        raise SyntaxError(t.line, t.col,
+                          f"a number of at most {sys.get_int_max_str_digits()} digits",
+                          found=f"{len(t.text)} digits") from None
 
 
 def _height(e: ast.Node) -> int:
@@ -397,17 +408,15 @@ def parse(source: str) -> ast.Contract:
 
 class _Resolver:
     def __init__(self, source: str, contract: ast.Contract):
+        self.source = source
         self.contract = contract
-        self.line_starts = [0]
-        for idx, ch in enumerate(source):
-            if ch == "\n":
-                self.line_starts.append(idx + 1)
 
     def where(self, node: ast.Node) -> tuple[int, int]:
+        """Line and column of a node; only asked for an error, so the
+        newlines are counted then, not for every contract loaded."""
         pos = node.span[0]
-        import bisect
-        line = bisect.bisect_right(self.line_starts, pos)
-        return line, pos - self.line_starts[line - 1] + 1
+        line_start = self.source.rfind("\n", 0, pos) + 1
+        return self.source.count("\n", 0, pos) + 1, pos - line_start + 1
 
     def fail(self, node: ast.Node, message: str):
         line, col = self.where(node)

@@ -291,6 +291,15 @@ def _entry_path_sets(contract: ast.Contract) -> list[PathSet]:
     return [search_paths(contract, f.name) for f in contract.functions if f.is_entry]
 
 
+class _Topics(dict):
+    """Event signature -> topic hash, each hashed on first use.  One
+    lives for one analysis, so no hash outlives the call that made it."""
+
+    def __missing__(self, signature: str) -> str:
+        topic = self[signature] = event_topic(signature)
+        return topic
+
+
 def check_logging_inconsistency(contract: ast.Contract,
                                 path_sets: list[PathSet] | None = None
                                 ) -> list[SourceFinding]:
@@ -299,6 +308,11 @@ def check_logging_inconsistency(contract: ast.Contract,
     entry functions' paths, searched here when not given."""
     if path_sets is None:
         path_sets = _entry_path_sets(contract)
+    return _inconsistent_logging(contract, path_sets, _Topics())
+
+
+def _inconsistent_logging(contract: ast.Contract, path_sets: list[PathSet],
+                          topics: _Topics) -> list[SourceFinding]:
     findings: dict[tuple, SourceFinding] = {}
     for ps in path_sets:
         for path in ps.paths:
@@ -322,7 +336,7 @@ def check_logging_inconsistency(contract: ast.Contract,
                 findings[key] = SourceFinding(
                     kind="INCONSISTENT_LOGGING",
                     event=event.signature,
-                    topic0=event_topic(event.signature),
+                    topic0=topics[event.signature],
                     contract=contract.name,
                     functions=(ps.function,),
                     confidence="INCOMPLETE" if ps.truncated else "CONFIRMED",
@@ -339,6 +353,11 @@ def check_counterfeit_pair(contract: ast.Contract,
     entry functions' paths, searched here when not given."""
     if path_sets is None:
         path_sets = _entry_path_sets(contract)
+    return _counterfeit_pairs(contract, path_sets, _Topics())
+
+
+def _counterfeit_pairs(contract: ast.Contract, path_sets: list[PathSet],
+                       topics: _Topics) -> list[SourceFinding]:
     emitters: dict[str, dict[str, list[tuple[Path, EmitRecord]]]] = {}
     truncated_fns: set[str] = set()
     for ps in path_sets:
@@ -377,7 +396,7 @@ def check_counterfeit_pair(contract: ast.Contract,
             findings.append(SourceFinding(
                 kind="EVENT_COUNTERFEITING",
                 event=event.signature,
-                topic0=event_topic(event.signature),
+                topic0=topics[event.signature],
                 contract=contract.name,
                 functions=(fn1, fn2),
                 confidence=confidence,
@@ -388,6 +407,7 @@ def check_counterfeit_pair(contract: ast.Contract,
 
 def analyze_source(contract: ast.Contract) -> list[SourceFinding]:
     path_sets = _entry_path_sets(contract)
-    findings = check_counterfeit_pair(contract, path_sets)
-    findings += check_logging_inconsistency(contract, path_sets)
+    topics = _Topics()  # each event hashed at most once, whichever check finds it
+    findings = _counterfeit_pairs(contract, path_sets, topics)
+    findings += _inconsistent_logging(contract, path_sets, topics)
     return sorted(findings, key=SourceFinding.sort_key)

@@ -1,6 +1,7 @@
 """Parsing, resolution, and printing of the restricted contract language."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +110,40 @@ class TestSyntaxErrors:
     def test_trailing_garbage(self):
         with pytest.raises(SyntaxError):
             minisol.parse("contract C { } contract D { }")
+
+    def test_a_number_with_leading_zeros_is_positioned(self):
+        # int(text, 0) rejects it; it used to escape load() as a ValueError
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load(wrap("a = 0123;"))
+        assert (exc.value.line, exc.value.col) == (2, 29)
+        assert str(exc.value) == "2:29: expected a number without leading zeros, found '0123'"
+
+    def test_a_number_with_more_digits_than_int_converts_is_positioned(self):
+        # int(text, 0) rejects it; it used to escape load() as a ValueError
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load(wrap(f"a = {'1' * (limit + 1)};"))
+        assert str(exc.value) == \
+            f"2:29: expected a number of at most {limit} digits, found {limit + 1} digits"
+
+    def test_zero_written_with_several_zeros_still_loads(self):
+        stmt = minisol.load(wrap("a = 00;")).function("f").body[0]
+        assert stmt.value.value == 0
+
+    def test_a_non_ascii_digit_is_a_stray_character(self):
+        # str.isdigit takes the superscript; int(text, 0) does not
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load(wrap("a = \u00b2;"))
+        assert str(exc.value) == "2:29: expected a token, found '\u00b2'"
+
+    def test_a_non_ascii_identifier_is_a_stray_character(self):
+        with pytest.raises(SyntaxError) as exc:
+            minisol.load("contract C {\n  event P\u00e9(uint256 amount);\n}")
+        assert (exc.value.line, exc.value.col) == (2, 10)
+
+    def test_a_comment_may_hold_any_character(self):
+        c = minisol.load("// d\u00e9p\u00f4t \u00b2 \U0001f600\ncontract C { uint256 a; }")
+        assert c.name == "C"
 
 
 def require_of(cond: str) -> str:

@@ -237,6 +237,18 @@ def test_cli_out_of_order_record_names_its_line(tmp_path):
     assert f"error: {corpus}: line 2: records out of order" in res.stderr
 
 
+def test_cli_non_ascii_identifier_is_a_syntax_error_with_its_position(tmp_path):
+    # the lexer used to take it and event_topic's ascii encoding then
+    # failed, so the CLI reported an internal error and exited 3
+    src = tmp_path / "accent.msol"
+    src.write_text("contract C {\n  event P\u00e9(uint256 amount);\n"
+                   "  function f(uint256 amount) external { emit P\u00e9(amount); }\n}\n",
+                   encoding="utf-8")
+    for command in (["analyze-source"], ["parse"], ["report", "--source"]):
+        res = runner().invoke(main, [*command, str(src)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {src}: 2:10: expected a token, found '\u00e9'\n"
+        assert res.stdout == ""
 
 def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
     first = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())

@@ -229,6 +229,23 @@ class TestAnalyzeSource:
         analyze_source(load_fixture("counterfeit"))
         assert sorted(calls) == ["depositETH", "depositToken"]
 
+    def test_each_event_hashed_once_per_analysis(self, monkeypatch):
+        # three findings on one event, from both checks
+        calls = []
+
+        def counting(signature):
+            calls.append(signature)
+            return event_topic(signature)
+
+        monkeypatch.setattr(symexec.engine, "event_topic", counting)
+        c = load_fixture("counterfeit")
+        findings = analyze_source(c)
+        assert len(findings) == 3
+        assert calls == ["Deposit(address,uint256,address,uint256)"]
+        assert {f.topic0 for f in findings} == {event_topic(calls[0])}
+        analyze_source(c)  # and no hash outlives its analysis
+        assert len(calls) == 2
+
     def test_results_deterministic(self):
         for name in ["counterfeit", "inconsistent", "inconsistent_safe",
                      "disjoint", "relay"]:

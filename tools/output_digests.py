@@ -3,8 +3,9 @@
     python tools/output_digests.py [SRC]
 
 Runs each phantomscan subcommand, as a child process, on the bundled
-fixtures and on the acceptance suite's c10 log corpus (50,000 records,
-seed 424242), and prints one line per invocation:
+fixtures, on the acceptance suite's c10 log corpus (50,000 records,
+seed 424242) and on a few malformed sources, which pin the syntax
+errors' text and exit code, and prints one line per invocation:
 
     <sha256 of stdout, NUL, stderr> <exit code> <invocation>
 
@@ -46,6 +47,14 @@ MSOL = ("counterfeit", "disjoint", "inconsistent", "inconsistent_safe", "relay")
 CORPORA = ("bridge_edge_logs", "bridge_logs", "spoof3_approved_logs", "spoof3_logs",
            "spoof_approved_logs", "spoof_logs", "c10")
 RULES = ("bridge_rules.yaml", "bridge_rules_strict.yaml")
+# sources the lexer rejects, and one with non-ASCII text in a comment, which it takes
+LEXER_CASES = {
+    "stray_at.msol": "contract C {\n  uint256 a;\n  @\n}\n",
+    "bare_hex.msol": "contract C { uint256 a;\n  function f() external { a = 0x; } }\n",
+    "unclosed.msol": "contract C {\n  uint256 a;\n  function f() external { a = 1; }\n",
+    "comment_utf8.msol": ("// d\u00e9p\u00f4t \u00b2 \u2014 any character is fine here\n"
+                          "contract C { uint256 a;\n  function f() external { a = 1; } }\n"),
+}
 
 
 def _topic(signature: str, keccak256) -> str:
@@ -174,6 +183,8 @@ def invocations() -> list[list[str]]:
     for name in CORPORA[:-1]:
         everything += ["--logs", f"{name}.jsonl"]
     runs += [everything, everything + ["--out", "report.json"]]
+    for name in LEXER_CASES:
+        runs += [["parse", name], ["analyze-source", name]]
     return runs
 
 
@@ -193,6 +204,8 @@ def main(argv: list[str]) -> int:
         with open(Path(work) / "c10.jsonl", "w", encoding="utf-8") as fh:
             for row in c10_rows(C10_RECORDS, keccak256):
                 fh.write(json.dumps(row) + "\n")
+        for name, text in LEXER_CASES.items():
+            (Path(work) / name).write_text(text, encoding="utf-8")
         for args in invocations():
             proc = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args],
                                   cwd=work, env=env, capture_output=True, check=False)
