@@ -5,8 +5,9 @@ offset 0 (PUSHn selector; EQ; PUSH dest; JUMPI per branch).  Internal
 helpers are the targets of the calls that jump resolution records: a
 JUMP leaving a JUMPDEST offset on the stack that reaches, through any
 number of blocks, a jump to a caller-supplied (entry-slot) address.
-Only the dispatcher's branches bound a function: the fallback stops at
-the public entries they select, and any other function owns every block
+Only the dispatcher's branches bound a function: the fallback does not
+follow a selector branch's edge to the entry it selects, though it owns
+an entry its own code jumps to, and any other function owns every block
 its entry reaches other than through a call.  So a jump into another
 function's entry that is not a call (a tail jump) is an ordinary edge of
 the jumping function, which then owns the target's blocks and their
@@ -18,13 +19,13 @@ single separate unit connected by call edges.
 A function's own graph (`FunctionUnit.succ`, `pred`) steps from each call
 block to its return block, for ownership and the memory model's block
 chains; the taint walk never takes that step, and crosses every call
-through its callee.
+through its callee, and names a block's values apart for each function
+and call context it visits the block in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .. import jsonout
@@ -158,39 +159,6 @@ class Icfg:
         owned = set().union(*(fn.block_offsets for fn in self.functions.values()))
         return sum(self.blocks[off].has_unresolved_jump for off in owned)
 
-    @cached_property
-    def revisitable(self) -> frozenset[int]:
-        """Blocks one reverse walk from a block (predecessors, return edges
-        into callees, call edges out to callers) can visit twice without
-        trying again the move it left the block by: blocks of several
-        functions, and the blocks of every function a walk can enter twice
-        under different calls, that is one reached from both of two calls
-        one function makes one after the other.  Loops and recursion are
-        left to `taint.backward_slice`'s rule for edges crossed before."""
-        up: dict[int, set[int]] = {}
-        for fn in self.functions.values():
-            for b, preds in fn.pred.items():
-                up.setdefault(b, set()).update(preds)
-        callees: dict[str, set[str]] = {}
-        returns: dict[int, list[str]] = {}
-        for e in self.call_edges:
-            up.setdefault(e.return_block, set()).add(e.call_block)
-            callees.setdefault(e.caller, set()).add(e.callee)
-            returns.setdefault(e.return_block, []).append(e.callee)
-        reach = {name: _closure(name, callees) for name in self.functions}
-        entered: set[str] = set()
-        for e in self.call_edges:
-            before = {c for b in _closure(e.call_block, up) for c in returns.get(b, ())}
-            entered |= reach[e.callee] & set().union(*(reach[c] for c in before))
-        owners: dict[int, int] = {}
-        for fn in self.functions.values():
-            for b in fn.block_offsets:
-                owners[b] = owners.get(b, 0) + 1
-        out = {b for b, n in owners.items() if n > 1}
-        for name in entered:
-            out |= self.functions[name].block_offsets
-        return frozenset(out)
-
     def to_json(self) -> str:
         doc = {
             "origin": self.origin,
@@ -269,9 +237,10 @@ def _match_selector_branch(block: BasicBlock) -> int | None:
     return push_val if saw_eq_after_push else None
 
 
-def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
-    """Follow the dispatch chain from offset 0: [(selector, entry offset)]."""
-    branches: list[tuple[int, int]] = []
+def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int, int]]:
+    """Follow the dispatch chain from offset 0: [(selector, branch block,
+    entry offset)]."""
+    branches: list[tuple[int, int, int]] = []
     if 0 not in blocks:
         return branches
     seen: set[int] = set()
@@ -284,7 +253,7 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
         if sel is not None:
             targets = [s for s in block.successors if s != block.end_offset]
             if targets:
-                branches.append((sel, targets[0]))
+                branches.append((sel, current, targets[0]))
             if not fallthrough:
                 break
             current = fallthrough[0]
@@ -298,9 +267,10 @@ def _walk_dispatcher(blocks: dict[int, BasicBlock]) -> list[tuple[int, int]]:
 
 def _reachable(blocks: dict[int, BasicBlock], entry: int,
                call_by_block: dict[int, int],
-               boundaries: set[int]) -> tuple[set[int], dict[int, list[int]]]:
+               boundaries: set[tuple[int, int]]) -> tuple[set[int], dict[int, list[int]]]:
     """Blocks owned by a function entry, with call edges short-circuited
-    to their return blocks and the `boundaries` left out."""
+    to their return blocks and the (block, successor) `boundaries` left
+    out."""
     owned: set[int] = set()
     succ: dict[int, list[int]] = {}
     frontier = [entry]
@@ -316,21 +286,10 @@ def _reachable(blocks: dict[int, BasicBlock], entry: int,
             # continuation belongs to the callers, not this function
             nexts = []
         else:
-            nexts = [s for s in blocks[off].successors if s not in boundaries]
+            nexts = [s for s in blocks[off].successors if (off, s) not in boundaries]
         succ[off] = sorted(set(nexts))
         frontier.extend(nexts)
     return owned, succ
-
-
-def _closure(start, graph: dict) -> set:
-    """`start` and every node reachable from it in `graph`."""
-    seen, work = {start}, [start]
-    while work:
-        for n in graph.get(work.pop(), ()):
-            if n not in seen:
-                seen.add(n)
-                work.append(n)
-    return seen
 
 
 def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
@@ -346,13 +305,13 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
     branches = _walk_dispatcher(blocks)
     raw_call_edges = [(b, t, r) for b in sorted(blocks) for t, r in blocks[b].calls.items()]
 
-    public_entries = {entry for _, entry in branches}
+    public_entries = {entry for _, _, entry in branches}
     helper_entries = sorted(
         {target for _, target, _ in raw_call_edges} - public_entries
     )
 
     functions: dict[str, FunctionUnit] = {}
-    for sel, entry in branches:
+    for sel, _, entry in branches:
         signature = sigdb.selector_signature(sel)
         name = SigDb.bare_name(signature) if signature else f"func_{sel:08x}"
         functions[name] = FunctionUnit(name, entry, f"0x{sel:08x}", signature, is_public=True)
@@ -364,12 +323,13 @@ def build_icfg(bytecode: Bytecode, sigdb: SigDb | None = None) -> Icfg:
         functions[f"helper_{entry:#x}"] = FunctionUnit(f"helper_{entry:#x}", entry)
 
     call_by_block = {b: r for b, _, r in raw_call_edges}
+    selected = {(block, entry) for _, block, entry in branches}
 
     call_edges: list[CallEdge] = []
     for name in sorted(functions):
         fn = functions[name]
         owned, succ = _reachable(blocks, fn.entry, call_by_block,
-                                  public_entries if name == "fallback" else set())
+                                  selected if name == "fallback" else set())
         fn.block_offsets = owned
         fn.succ = succ
         fn.pred = {}

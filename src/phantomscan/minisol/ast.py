@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 Span = tuple[int, int]
 
 SCALAR_TYPES = ("uint256", "address", "bool", "bytes")
+UINT_MAX = 2**256 - 1  # the largest value of a uint256, and of a number literal
+ADDRESS_MAX = 2**160 - 1  # the largest address
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class Node:
 
 @dataclass(frozen=True)
 class Lit(Node):
-    value: int
+    value: int  # at most UINT_MAX
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class BoolLit(Node):
 
 @dataclass(frozen=True)
 class AddressLit(Node):
-    value: int
+    value: int  # at most ADDRESS_MAX
 
 
 @dataclass(frozen=True)

@@ -344,7 +344,7 @@ class _Parser:
                                   found=repr(num.text))
             self.advance()
             close = self.expect(")")
-            return ast.AddressLit(value=_number(num), span=(t.pos, close.end))
+            return ast.AddressLit(value=_number(num, ast.ADDRESS_MAX), span=(t.pos, close.end))
         if self.accept("("):
             inner = self.expr()
             close = self.expect(")")
@@ -370,13 +370,18 @@ class _Parser:
                           found=repr(t.text or "end of input"))
 
 
-def _number(t: Token) -> int:
+def _number(t: Token, most: int = ast.UINT_MAX) -> int:
+    """The literal's value, at most `most`: the solver bounds each sort."""
     try:
-        return int(t.text, 0)
+        value = int(t.text, 0)
     except ValueError:  # more decimal digits than the interpreter converts
         raise SyntaxError(t.line, t.col,
                           f"a number of at most {sys.get_int_max_str_digits()} digits",
                           found=f"{len(t.text)} digits") from None
+    if value > most:
+        raise SyntaxError(t.line, t.col, f"a number below 2**{most.bit_length()}",
+                          found=f"a {value.bit_length()}-bit number")
+    return value
 
 
 def _height(e: ast.Node) -> int:

@@ -28,8 +28,7 @@ from dataclasses import dataclass, fields, replace
 from hashlib import blake2b
 from math import inf
 
-UINT_MAX = 2**256 - 1
-ADDRESS_MAX = 2**160 - 1
+from ..minisol.ast import ADDRESS_MAX, UINT_MAX
 
 SORT_BOUNDS = {
     "uint": (0, UINT_MAX),

@@ -18,7 +18,10 @@ its verdicts read off that state.  It flags two situations:
 Variables are compared by value key, not by name: reads of the same
 environment fact (CALLDATALOAD of one constant offset, CALLER,
 CALLVALUE, ORIGIN, ADDRESS) denote one value however many times the
-code performs them.  Everything else keeps per-definition identity.
+code performs them.  Everything else keeps per-definition identity,
+named apart per scope: the walk steps a block under the function and
+call context it visits it in, so each run of a helper on a path has
+values of its own (the per-procedure-instance view of IFDS).
 
 Memory is modelled only where LOG and KECCAK-style consumers need it:
 constant-offset MSTOREs are matched per 32-byte word within the whole
@@ -121,8 +124,8 @@ def build_value_keys(icfg: Icfg) -> dict[str, tuple]:
     return keys
 
 
-def _key(var: str, value_keys: dict[str, tuple]) -> tuple:
-    return value_keys.get(var, ("v", var))
+def _key(var: str, value_keys: dict[str, tuple], scope: int = 0) -> tuple:
+    return value_keys.get(var) or ("v", var, scope)
 
 
 # --------------------------------------------------------------------------
@@ -228,22 +231,19 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int) -> list[tuple[int | 
 class _Walk:
     """One path's state, changed in place: the tainted value keys, the
     verdicts `seen` ("source": a tainted entry-point read, "anchor": a
-    taint-related SSTORE, "call": an external call), per verdict the keys
-    `waiting` whose taint decides it, and `kept`, the tainted keys for
-    which `reread` holds (those a later block visit can read again).  A
-    union-find (`parent`, and `size` per root) joins the keys of each
-    instruction, CALLS with the seeds and every external call's result,
-    and CHECKS with the condition of every JUMPI before the first call
-    met; the path crossed an unchecked call when the two are apart at its
-    entry.  `linked` holds the joined `reread` keys.  Every change goes
-    on `trail` as (undo, member)."""
+    taint-related SSTORE, "call": an external call), and per verdict the
+    keys `waiting` whose taint decides it.  A union-find (`parent`, and
+    `size` per root) joins the keys of each instruction, CALLS with the
+    seeds and every external call's result, and CHECKS with the condition
+    of every JUMPI before the first call met; the path crossed an
+    unchecked call when the two are apart at its entry.  Every change
+    goes on `trail` as (undo, member)."""
 
-    def __init__(self, value_keys: dict[str, tuple], seed: tuple[str, ...],
-                 reread=None) -> None:
-        self.value_keys, self.trail, self.seen, self.kept = value_keys, [], set(), set()
+    def __init__(self, value_keys: dict[str, tuple], seed: tuple[str, ...]) -> None:
+        self.value_keys, self.trail, self.seen = value_keys, [], set()
         self.taint = {_key(v, value_keys) for v in seed}
         self.waiting: dict[str, set] = {"source": set(), "anchor": set()}
-        self.reread, self.parent, self.size, self.linked = reread, {}, {}, set()
+        self.parent, self.size = {}, {}
         self.union(self.taint | {CALLS})
 
     def add(self, members: set, new) -> None:
@@ -265,8 +265,6 @@ class _Walk:
             self.parent[root] = top
             self.size[top] = self.size.get(top, 1) + self.size.get(root, 1)
             self.trail.append((self.unlink, root))
-        if self.reread:
-            self.add(self.linked, [k for k in keys if self.reread(k)])
 
     def unlink(self, root: tuple) -> None:
         self.size[self.parent.pop(root)] -= self.size.get(root, 1)
@@ -282,18 +280,22 @@ class _Walk:
             groups.setdefault(self.find(k), set()).add(k)
         return frozenset(frozenset(g) for g in groups.values() if len(g) > 1)
 
-    def step(self, instrs: list[TacInstruction]) -> None:
+    def step(self, instrs: list[TacInstruction], scope: int = 0, block_scope: int = 0) -> None:
         """The single-pass rule: an instruction touching a tainted value
         key taints all of its keys (SEGMENT and ENTRY have only one).
-        While `open`, the union-find joins them."""
+        While `open`, the union-find joins them.  Variables are keyed in
+        `scope`, except that a crossing's PHI keys its def, an entry slot
+        of the block crossed from, in that block's `block_scope`."""
         join = self.open()
+        vk = self.value_keys
         for t in instrs:
-            keys = {_key(v, self.value_keys) for v in t.variables}
+            if t.op == "PHI":
+                keys = {_key(t.defs[0], vk, block_scope), _key(t.uses[0], vk, scope)}
+            else:
+                keys = {_key(v, vk, scope) for v in t.variables}
             new = keys - self.taint
             if new and len(new) < len(keys):
                 self.add(self.taint, new)
-                if self.reread:
-                    self.add(self.kept, [k for k in new if self.reread(k)])
                 self.add(self.seen, [v for v, w in self.waiting.items() if not new.isdisjoint(w)])
             if t.op in EXTERNAL_CALLS:
                 self.add(self.seen, ["call"])
@@ -302,7 +304,7 @@ class _Walk:
                 keys.add(CHECKS)
             elif t.op == "SSTORE" or t.op in ENTRY_POINT_OPS and t.defs:
                 verdict = "anchor" if t.op == "SSTORE" else "source"
-                watched = keys if t.op == "SSTORE" else {_key(t.defs[0], self.value_keys)}
+                watched = keys if t.op == "SSTORE" else {_key(t.defs[0], vk, scope)}
                 self.add(self.waiting[verdict], watched)
                 if watched & self.taint:
                     self.add(self.seen, [verdict])
@@ -317,20 +319,22 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     return edges, then call edges, crossing each edge at most once per
     path and call context, and entering no call already in the context.
     It crosses every call through its callee, never along the caller's
-    own call-block -> return-block edge.  It stops at a block in a
-    state a finished walk left there: call context, entry slots to
-    bridge, and the state a later step can read: of the environment keys, the block's own and bridged entry slots and the
-    keys of `icfg.revisitable` blocks, those tainted and, while the
-    unchecked-call verdict is open, their classes.  A walk is recorded
-    as finished only if nothing below it read what the state leaves out,
-    an edge its path had crossed before; this one rule keeps loops
-    exact, as a path back into a loop block tries again the edge it left
-    it by.  Paths share their common part through (segment, rest) links."""
+    own call-block -> return-block edge.  A visit steps its block in the
+    scope of its function and call context, and a crossing's PHIs key
+    their defs in the block's scope and their uses in the predecessor's,
+    so every run of a block on a path names values of its own, except
+    around a loop.  The walk stops at a block in a state a finished walk
+    left there: call context, entry slots to bridge, and the state a
+    later step can read: of the environment keys and the block's own and
+    bridged entry slots in its scope, those tainted or waiting and, while
+    the unchecked-call verdict is open, their classes.  A walk is
+    recorded as finished only if nothing below it read what the state
+    leaves out, an edge its path had crossed before; this one rule keeps
+    loops exact, as a path back into a loop block tries again the edge it
+    left it by.  Paths share their common part through (segment, rest)
+    links."""
     value_keys = build_value_keys(icfg)
     env = set(value_keys.values())
-    revisitable = icfg.revisitable
-    names = {v for off in revisitable for t in icfg.lifted[off].tac for v in t.variables}
-    suffixes = {f"{off:#x}" for off in revisitable}
     tac = icfg.lifted[logop.block].tac
     log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
     prefix: list[TacInstruction] = [
@@ -339,23 +343,23 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
         *logop.synthetic,
         *reversed(tac[:log_idx]),
     ]
-    walk = _Walk(value_keys, logop.seed_vars, revisitable and (
-        lambda key: key[0] == "v" and (key[1] in names or key[1].partition("@")[2] in suffixes)))
+    walk = _Walk(value_keys, logop.seed_vars)
     if not any(t.op in EXTERNAL_CALLS for lb in icfg.lifted.values() for t in lb.tac):
         walk.union({CALLS, CHECKS})  # no call to check: the verdict is settled
     walk.step(prefix)
 
     paths: list[PathSlice] = []
+    scopes = {(logop.function, ()): 0}  # (function, call context) -> scope
     edges_used: set[tuple] = set()
     crossed_at: dict[tuple, int] = {}  # edge -> trail mark of the visit that crossed it
     pending: dict[int, set[int]] = {}
     done: set[tuple] = set()
-    owns: dict[int, set] = {}  # block -> value keys of the entry slots its code names
+    reads: dict[tuple[int, int], set] = {}  # (block, scope) -> env and the block's slot keys
     low: list[int] = []  # per open visit: the lowest trail mark its subtree read below
-    # ("visit", fn, block, context, link) | ("cross", block, link, mark, pred_fn,
-    # pred_block, context, edge_key) | ("undo", mark) | ("finish", state, block, mark)
-    # | ("entry", fn, block, link)
-    stack: list[tuple] = [("visit", logop.function, logop.block, (), (prefix, None))]
+    # ("visit", fn, block, context, scope, link) | ("cross", block, scope, link,
+    # mark, pred_fn, pred_block, pred_context, pred_scope, edge_key)
+    # | ("undo", mark) | ("finish", state, mark) | ("entry", fn, block, link)
+    stack: list[tuple] = [("visit", logop.function, logop.block, (), 0, (prefix, None))]
 
     while stack:
         item = stack.pop()
@@ -365,14 +369,14 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
                 undo, member = walk.trail.pop()
                 undo(member)
         elif kind == "finish":
-            _, state, block, mark = item
+            _, state, mark = item
             below = low.pop()
             if low:
                 low[-1] = min(low[-1], below)
             if below >= mark:
                 done.add(state)
         elif kind == "cross":
-            _, block, link, mark, pred_fn, pred_block, context, edge_key = item
+            _, block, scope, link, mark, pred_fn, pred_block, context, pred_scope, edge_key = item
             if edge_key in edges_used:
                 low[-1] = min(low[-1], crossed_at[edge_key])
                 continue
@@ -388,33 +392,38 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
                    for k, src in srcs.items()]
             seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
             seg += reversed(plb.tac)
-            walk.step(seg)
-            stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
+            walk.step(seg, pred_scope, scope)
+            stack.append(("visit", pred_fn, pred_block, context, pred_scope, (seg, link)))
         elif kind == "visit":
-            _, fn_name, block, context, link = item
+            _, fn_name, block, context, scope, link = item
             fn = icfg.functions[fn_name]
             bridge = frozenset(pending.get(block, ()))
-            if block not in owns:
-                owns[block] = {("v", v) for t in icfg.lifted[block].tac for v in t.variables
-                               if v[0] == "S"}
-            read = owns[block].union(env, (("v", extern_var(block, k)) for k in bridge))
-            state = (fn_name, block, context, bridge, "call" in walk.seen,
-                     frozenset(read & walk.taint),
+            if (block, scope) not in reads:
+                reads[block, scope] = env.union(("v", v, scope) for t in icfg.lifted[block].tac
+                                                for v in t.variables if v[0] == "S")
+            read = reads[block, scope]
+            if bridge:
+                read = read.union(("v", extern_var(block, k), scope) for k in bridge)
+            state = (scope, block, bridge, "call" in walk.seen, frozenset(read & walk.taint),
                      *(v in walk.seen or frozenset(read & w) for v, w in walk.waiting.items()),
-                     frozenset(walk.kept), walk.open() and walk.classes(read | walk.linked))
+                     walk.open() and walk.classes(read))
             if state in done:
                 continue
             mark = len(walk.trail)
             low.append(mark)
-            stack.append(("finish", state, block, mark))
+            stack.append(("finish", state, mark))
             returns = icfg.return_edges_at(fn_name, block)
             call_blocks = {e.call_block for e in returns}
-            moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
+            moves = [(fn_name, pred, context, scope, ("cfg", scope, pred, block))
                      for pred in fn.pred.get(block, []) if pred not in call_blocks]
             for edge in returns:
-                for exit_block in [] if edge in context else icfg.callee_exit_blocks(edge):
-                    moves.append((edge.callee, exit_block, context + (edge,),
-                                  ("ret", context, edge.caller, edge.call_block, exit_block)))
+                if edge in context:
+                    continue
+                inner = context + (edge,)
+                inner_scope = scopes.setdefault((edge.callee, inner), len(scopes))
+                moves += [(edge.callee, exit_block, inner, inner_scope,
+                           ("ret", scope, edge.call_block, exit_block))
+                          for exit_block in icfg.callee_exit_blocks(edge)]
             if block == fn.entry:
                 if context:
                     callers = [context[-1]] if context[-1].callee == fn_name else []
@@ -423,10 +432,11 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
                     callers = icfg.edges_into(fn_name)
                     if not callers:
                         stack.append(("entry", fn_name, block, link))
-                moves += [(edge.caller, edge.call_block, context,
-                           ("call", context, edge.caller, edge.call_block, fn_name))
-                          for edge in callers]
-            stack += [("cross", block, link, mark, *move) for move in reversed(moves)]
+                for edge in callers:
+                    outer_scope = scopes.setdefault((edge.caller, context), len(scopes))
+                    moves.append((edge.caller, edge.call_block, context, outer_scope,
+                                  ("call", outer_scope, edge.call_block, fn_name)))
+            stack += [("cross", block, scope, link, mark, *move) for move in reversed(moves)]
         else:
             _, fn_name, block, link = item
             if len(paths) >= MAX_PATHS:
@@ -456,8 +466,10 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
 
 def taint_analysis(slice_: PathSlice, value_keys: dict[str, tuple],
                    seed: tuple[str, ...] | None = None) -> TaintResult:
-    """The walk's single reverse pass over one flattened path.  Sources
-    are entry-point reads whose result ends up in the final taint set."""
+    """The walk's single reverse pass over one flattened path, all of it
+    in one scope: a helper the path runs twice names one value per
+    variable, as the walk does not.  Sources are entry-point reads whose
+    result ends up in the final taint set."""
     walk = _Walk(value_keys, slice_.logop.seed_vars if seed is None else seed)
     walk.step(slice_.instrs)
 

@@ -5,10 +5,19 @@ function entry, crossing each directed edge at most once per path and
 call context, and `reference_detect` runs the single-pass taint rule
 over each listed path on its own.  Like the walk, the search crosses
 every call through its callee, never along the caller's call-block ->
-return-block edge.  The path count
-doubles with every independent branch in front of a LOG, so the search
-stops after `max_paths` paths and marks the event's findings INCOMPLETE.
+return-block edge, and names values by scope: a listed path renames
+each variable `<name>#<scope>`, the scope standing for the function and
+call context of the visit that runs it (a PHI's def takes the block's
+scope, its use the predecessor's), and only the variables environment
+reads define keep their names.  So a helper the path runs twice has
+values of its own per run, and `reference_taint`, `_related_fixpoint`
+and `_unchecked_external_call` judge the renamed path with the flat
+rule.  The path count doubles with every independent branch in front
+of a LOG, so the search stops after `max_paths` paths and marks the
+event's findings INCOMPLETE.
 """
+
+from dataclasses import replace
 
 from phantomscan.evm.opcodes import ENTRY_POINT_OPS, EXTERNAL_CALLS
 from phantomscan.lifter.tac import TacInstruction
@@ -28,14 +37,37 @@ MAX_PATHS = 256
 def reference_slice(icfg, logop, max_paths=MAX_PATHS):
     """(every reverse path as a PathSlice, budget exceeded), in the order
     of a depth-first walk that tries predecessors, then return edges,
-    then call edges."""
+    then call edges.  A path's variables, and the seeds of its `logop`,
+    are renamed by scope, and each SEGMENT carries its block's scope as
+    `const`: scope 0 is the log site's function with no call context."""
+    value_keys = build_value_keys(icfg)
+    scopes = {(logop.function, ()): 0}  # (function, call context) -> scope
+
+    def name(var, scope):
+        return var if var in value_keys else f"{var}#{scope}"
+
+    def rename(instrs, scope, uses_scope=None):
+        uses_scope = scope if uses_scope is None else uses_scope
+        return [replace(t, defs=tuple(name(v, scope) for v in t.defs),
+                        uses=tuple(name(v, uses_scope) for v in t.uses)) for t in instrs]
+
+    runs = {}  # (block, scope) -> the block's TAC, reversed and renamed
+
+    def run(block, scope):
+        if (block, scope) not in runs:
+            runs[block, scope] = rename(reversed(icfg.lifted[block].tac), scope)
+        return runs[block, scope]
+
+    logop = replace(logop, topic_vars=tuple(name(v, 0) for v in logop.topic_vars),
+                    data_vars=tuple(name(v, 0) for v in logop.data_vars),
+                    synthetic=tuple(rename(logop.synthetic, 0)))
     tac = icfg.lifted[logop.block].tac
     log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
     prefix = [
-        TacInstruction(pc=logop.block, op="SEGMENT", defs=(logop.function,)),
-        tac[log_idx],
+        TacInstruction(pc=logop.block, op="SEGMENT", defs=(logop.function,), const=0),
+        *rename([tac[log_idx]], 0),
         *logop.synthetic,
-        *reversed(tac[:log_idx]),
+        *run(logop.block, 0)[len(tac) - log_idx:],
     ]
 
     paths = []
@@ -52,30 +84,34 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
                 members, member = trail.pop()
                 members.discard(member)
         elif kind == "cross":
-            _, block, link, pred_fn, pred_block, context, edge_key = item
+            _, block, scope, link, pred_fn, pred_block, context, edge_key = item
             if edge_key in edges_used:
                 continue
             stack.append(("undo", len(trail)))
             edges_used.add(edge_key)
             trail.append((edges_used, edge_key))
             plb = icfg.lifted[pred_block]
+            pred_scope = scopes.setdefault((pred_fn, context), len(scopes))
             slots = pending.setdefault(pred_block, set())
-            seg = []
+            phis = []
             for k in sorted(set(range(icfg.lifted[block].extern_consumed))
                             | pending.get(block, set())):
                 src = plb.exit_var(k)
-                seg.append(TacInstruction(pc=block, op="PHI",
-                                          defs=(f"S{k}@{block:#x}",), uses=(src,)))
+                phis.append(TacInstruction(pc=block, op="PHI",
+                                           defs=(f"S{k}@{block:#x}",), uses=(src,)))
                 slot = plb.entry_slot(src)
                 if slot is not None and slot not in slots:
                     slots.add(slot)
                     trail.append((slots, slot))
-            seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
-            seg += reversed(plb.tac)
+            seg = rename(phis, scope, pred_scope)
+            seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,),
+                                      const=pred_scope))
+            seg += run(pred_block, pred_scope)
             stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
         elif kind == "visit":
             _, fn_name, block, context, link = item
             fn = icfg.functions[fn_name]
+            scope = scopes.setdefault((fn_name, context), len(scopes))
             returns = icfg.return_edges_at(fn_name, block)
             call_blocks = {e.call_block for e in returns}
             moves = [(fn_name, pred, context, ("cfg", context, fn_name, pred, block))
@@ -95,7 +131,7 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
                 moves += [(edge.caller, edge.call_block, context,
                            ("call", context, edge.caller, edge.call_block, fn_name))
                           for edge in callers]
-            stack += [("cross", block, link, *move) for move in reversed(moves)]
+            stack += [("cross", block, scope, link, *move) for move in reversed(moves)]
         else:
             _, fn_name, block, link = item
             if len(paths) >= max_paths:

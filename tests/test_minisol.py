@@ -126,6 +126,12 @@ class TestSyntaxErrors:
         assert str(exc.value) == \
             f"2:29: expected a number of at most {limit} digits, found {limit + 1} digits"
 
+    def test_the_largest_literals_of_each_sort_load(self):
+        contract = minisol.load("contract C { uint256 a; address o;\nfunction f() external { "
+                                f"a = 0x{'f' * 64}; o = address(0x{'f' * 40}); }} }}")
+        first, second = contract.function("f").body
+        assert (first.value.value, second.value.value) == (2**256 - 1, 2**160 - 1)
+
     def test_zero_written_with_several_zeros_still_loads(self):
         stmt = minisol.load(wrap("a = 00;")).function("f").body[0]
         assert stmt.value.value == 0

@@ -250,6 +250,27 @@ def test_cli_non_ascii_identifier_is_a_syntax_error_with_its_position(tmp_path):
         assert res.stderr == f"error: {src}: 2:10: expected a token, found '\u00e9'\n"
         assert res.stdout == ""
 
+@pytest.mark.parametrize("statement,position,bits", [
+    # 5,000 hex digits: printing the value used to exit 3 with an internal error
+    ("a = 0x" + "f" * 5000 + ";", "2:29", 20000),
+    # 2**256 used to load, outside the range the solver assumes
+    ("a = 0x1" + "0" * 64 + ";", "2:29", 257),
+    ("o = address(0x1" + "0" * 40 + ");", "2:37", 161),
+], ids=["5000-digits", "2**256", "address-2**160"])
+def test_cli_rejects_a_literal_out_of_its_range_with_its_position(tmp_path, statement,
+                                                                  position, bits):
+    src = tmp_path / "big.msol"
+    src.write_text("contract C { uint256 a; address o;\nfunction f() external { "
+                   + statement + " } }\n")
+    for command in (["analyze-source"], ["parse"], ["report", "--source"]):
+        res = runner().invoke(main, [*command, str(src)])
+        assert res.exit_code == 2
+        most = 160 if "address" in statement else 256
+        assert res.stderr == (f"error: {src}: {position}: expected a number below "
+                              f"2**{most}, found a {bits}-bit number\n")
+        assert res.stdout == ""
+
+
 def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
     first = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
     first["address"] = "0x" + "11" * 20 + "\n"

@@ -9,16 +9,21 @@ helper, and the fuzz suite's `_random_code` and `_random_call_code`),
 runs `detect` and the exhaustive `reference_detect` from
 `tests/reference_slice.py` on each, and prints one line per generator:
 
-    <generator> <programs> <complete> <mismatches>
+    <generator> <programs> <complete> <mismatches> <reruns>
 
 The search judges each listed path on its own, the unchecked-call
 rule included (`_unchecked_external_call` re-reads the whole path),
-where the walk decides every rule from its merged state.
+where the walk decides every rule from its merged state.  Both name a
+value by the scope, function and call context, of the visit that runs
+it.
 
 A program is complete when the exhaustive search finished every log
 site; a mismatch is a program where the two give different findings on
-an event whose log sites the search finished.  Exits 1 when there is
-a mismatch.  Needs pytest and hypothesis, as the tests do.
+an event whose log sites the search finished; a rerun is a program in
+which a path the search lists runs one block under two scopes (a
+helper called twice, or a block two functions own), where that naming
+decides what the two runs share.  Exits 1 when there is a mismatch.
+Needs pytest and hypothesis, as the tests do.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ def main(argv: list[str]) -> int:
 
     from phantomscan.evm import Bytecode
     from phantomscan.lifter import build_icfg
+    from phantomscan.taint import extract_log_ops
+    from reference_slice import reference_slice
     from test_fuzz import _random_call_code, _random_code
     from test_taint import (CALL_STARTS, HELPER_BODIES, call_segments, loop_segments,
                             random_segments, same_as_reference, structured)
@@ -57,18 +64,31 @@ def main(argv: list[str]) -> int:
         "random_code": lambda rng: Bytecode(code=_random_code(rng)),
         "random_call_code": lambda rng: Bytecode(code=_random_call_code(rng)[0]),
     }
+
+    def reruns(icfg) -> bool:
+        """Whether a listed path runs one block under two scopes: each
+        SEGMENT of a listed path carries its block's scope as `const`."""
+        for op in extract_log_ops(icfg):
+            for path in reference_slice(icfg, op)[0]:
+                scopes: dict[int, int] = {}
+                if any(scopes.setdefault(t.pc, t.const) != t.const
+                       for t in path.instrs if t.op == "SEGMENT"):
+                    return True
+        return False
+
     failed = False
     for name, make in generators.items():
         rng = random.Random(seed)
-        complete = mismatches = 0
+        complete = mismatches = rerun = 0
         for _ in range(n):
             icfg = build_icfg(make(rng))
             try:
                 complete += same_as_reference(icfg)
             except AssertionError:
                 mismatches += 1
+            rerun += reruns(icfg)
         failed |= mismatches > 0
-        print(name, n, complete, mismatches, flush=True)
+        print(name, n, complete, mismatches, rerun, flush=True)
     return 1 if failed else 0
 
 
