@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 LAYER_BYTECODE = "bytecode"
 LAYER_SOURCE = "source"
@@ -25,6 +26,15 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 # compact and key-sorted; built once, as json.dumps with options builds one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# the C encoder that `_ENCODER.encode` builds anew on every call, built once
+_compact_parts = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii, None,
+                                ":", ",", True, False, True)
+
+
+def _compact(value) -> str:
+    """`_ENCODER.encode(value)`, for a value holding no reference cycle."""
+    return "".join(_compact_parts(value, 0))
 
 
 def jsonable(value):
@@ -58,7 +68,7 @@ def _topic_hex(topic0) -> str | None:
     return topic0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Finding:
     id: str
     layer: str
@@ -94,14 +104,13 @@ class Finding:
 def make_finding(layer: str, kind: str, confidence: str, subject: dict, evidence: dict) -> Finding:
     subject = jsonable(subject)
     evidence = jsonable(evidence)
-    subject_json = _ENCODER.encode(subject)
+    subject_json = _compact(subject)
     # the id hashes {"layer", "kind", "subject", "evidence"} as compact, key-sorted JSON
-    blob = (f'{{"evidence":{_ENCODER.encode(evidence)},"kind":{_ENCODER.encode(kind)},'
-            f'"layer":{_ENCODER.encode(layer)},"subject":{subject_json}}}')
-    fid = hashlib.sha256(blob.encode("ascii")).digest()[:16].hex()
-    finding = Finding(id=fid, layer=layer, kind=kind, confidence=confidence,
-                      subject=subject, evidence=evidence)
-    object.__setattr__(finding, "subject_json", subject_json)
+    blob = (f'{{"evidence":{_compact(evidence)},"kind":{encode_basestring_ascii(kind)},'
+            f'"layer":{encode_basestring_ascii(layer)},"subject":{subject_json}}}')
+    finding = Finding(hashlib.sha256(blob.encode("ascii")).digest()[:16].hex(), layer, kind,
+                      confidence, subject, evidence)
+    finding.subject_json = subject_json
     return finding
 
 

@@ -84,8 +84,11 @@ def iterdumps(members: dict) -> Iterator[str]:
 
 def _writer():
     """A `write(value, newline)` that returns the text of `value` whose lines
-    after the first start with `newline`; it remembers the keys it has written."""
-    prefixes: dict[str, str] = {}  # str key -> _key(key), for keys seen before
+    after the first start with `newline`; it remembers the shapes of the
+    objects it has written."""
+    # the keys of an object whose keys are all str, in its order -> each key and
+    # its `_key` text, in sorted order
+    shapes: dict[tuple, list[tuple[str, str]]] = {}
 
     def write(value, newline: str) -> str:
         if isinstance(value, dict):
@@ -97,13 +100,16 @@ def _writer():
     def write_object(value: dict, newline: str) -> str:
         if not value:
             return "{}"
+        shape = tuple(value)
+        members = shapes.get(shape)
+        if members is None:
+            members = [(key, _key(key)) for key in sorted(value)]
+            if all(type(key) is str for key in shape):
+                shapes[shape] = members
         inner = newline + "  "
         parts = []
         add = parts.append
-        for key in sorted(value):
-            prefix = prefixes.get(key) if type(key) is str else _key(key)
-            if prefix is None:
-                prefix = prefixes[key] = _key(key)
+        for key, prefix in members:
             item = value[key]
             kind = type(item)
             if kind is str:

@@ -29,7 +29,7 @@ _HEX = re.compile(r"0x[0-9a-fA-F]*").fullmatch
 _MISSING = object()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LogRecord:
     tx_hash: str
     log_index: int
@@ -41,10 +41,8 @@ class LogRecord:
     tx_to: str | None
     tx_selector: str | None
     lineno: int = field(default=0, compare=False, repr=False)  # 0 when not read from a file
-    topic0: int | None = field(init=False, compare=False, repr=False)  # the signature topic
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "topic0", int(self.topics[0], 16) if self.topics else None)
+    # the signature topic, topics[0] as an int
+    topic0: int | None = field(kw_only=True, compare=False, repr=False)
 
 
 def _invalid(lineno: int, name: str, value, message: str) -> RecordError:
@@ -54,8 +52,9 @@ def _invalid(lineno: int, name: str, value, message: str) -> RecordError:
     return RecordError(lineno, message)
 
 
-def parse_record(obj: dict, lineno: int = 0) -> LogRecord:
-    # each field is checked for presence, then validity, in this order
+def _check_in_order(obj: dict, lineno: int) -> None:
+    """Raise the first error of an invalid record: each field is checked for
+    presence, then validity, in this order.  Return for a valid one."""
     get = obj.get
     tx_hash = get("txHash", _MISSING)
     if not isinstance(tx_hash, str) or not _HEX32(tx_hash):
@@ -91,18 +90,52 @@ def parse_record(obj: dict, lineno: int = 0) -> LogRecord:
     if not isinstance(data, str) or not _HEX(data) or len(data) % 2:
         raise _invalid(lineno, "data", data, "data must be an even-length hex string")
 
-    return LogRecord(
-        tx_hash=tx_hash.lower(),
-        log_index=log_index,
-        block_number=block_number,
-        address=address.lower(),
-        topics=tuple(map(str.lower, topics)),
-        data=data.lower(),
-        tx_from=tx_from.lower(),
-        tx_to=tx_to.lower() if tx_to else None,
-        tx_selector=selector.lower() if selector else None,
-        lineno=lineno,
-    )
+
+# A record's string fields joined by "\n": txHash, address, txFrom, txTo and
+# txSelector ("" when null), data, then each topic.  One pattern per layout
+# (topic count and null fields) checks them all; no segment of a pattern takes
+# "\n", and a pattern has a segment per joined field, so a match splits the text
+# at the joins only.  One pattern for every layout would let a field holding
+# "\n" shift the fields after it by a slot.
+_LAYOUTS: list = [None] * 20  # topic count + 5 if txTo is null + 10 if txSelector is null
+
+
+def _layout(index: int):
+    """The `fullmatch` of layout `index`, compiled on first use."""
+    check = _LAYOUTS[index]
+    if check is None:
+        to = "" if index % 10 >= 5 else "0x[0-9a-fA-F]{40}"
+        selector = "" if index >= 10 else "0x[0-9a-fA-F]{8}"
+        topics = ["0x[0-9a-fA-F]{64}"] * (index % 5)
+        check = _LAYOUTS[index] = re.compile("\n".join(
+            ("0x[0-9a-fA-F]{64}", "0x[0-9a-fA-F]{40}", "0x[0-9a-fA-F]{40}", to, selector,
+             "0x[0-9a-fA-F]*", *topics))).fullmatch
+    return check
+
+
+def parse_record(obj: dict, lineno: int = 0) -> LogRecord:
+    get = obj.get
+    tx_to = get("txTo", _MISSING)  # null, unlike a missing key, is valid
+    selector = get("txSelector", _MISSING)
+    log_index = get("logIndex")
+    block_number = get("blockNumber")
+    topics = get("topics")
+    data = get("data")
+    try:
+        text = "\n".join((get("txHash"), get("address"), get("txFrom"), tx_to or "",
+                          selector or "", data, *topics))
+    except TypeError:  # a field that is not a string
+        text = None
+    if (text is None or type(log_index) is not int or log_index < 0
+            or type(block_number) is not int or block_number < 0
+            or type(topics) is not list or len(topics) > 4 or len(data) % 2
+            or not _layout(len(topics) + 5 * (tx_to is None) + 10 * (selector is None))(text)):
+        # invalid, or valid with a str, int or list subclass where JSON gives the type
+        _check_in_order(obj, lineno)
+    tx_hash, address, tx_from, tx_to, selector, data, *topics = text.lower().split("\n")
+    return LogRecord(tx_hash, log_index, block_number, address, tuple(topics), data, tx_from,
+                     tx_to or None, selector or None, lineno,
+                     topic0=int(topics[0], 16) if topics else None)
 
 
 def read_records(lines: Iterable[str]) -> Iterator[LogRecord]:
@@ -115,6 +148,10 @@ def read_records(lines: Iterable[str]) -> Iterator[LogRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # a number of more digits than int() converts
+            raise RecordError(lineno, f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise RecordError(lineno, "invalid JSON: nested too deeply") from exc
         if not isinstance(obj, dict):
             raise RecordError(lineno, "each line must be a JSON object")
         yield parse_record(obj, lineno)

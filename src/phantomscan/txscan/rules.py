@@ -104,13 +104,19 @@ class Project:
 class Ruleset:
     projects: tuple[Project, ...] = ()
     watched: dict = field(default_factory=dict, compare=False)
+    emitters: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         table: dict[int, list[tuple[Project, EventRule]]] = {}
+        # each authentic emitter's projects, in ruleset order
+        emitters: dict[str, list[Project]] = {}
         for proj in self.projects:
             for rule in proj.events:
                 table.setdefault(rule.topic0, []).append((proj, rule))
+            for address in proj.authentic_emitters:
+                emitters.setdefault(address, []).append(proj)
         object.__setattr__(self, "watched", table)
+        object.__setattr__(self, "emitters", emitters)
 
 
 def event_topic0(name: str, types: list[str]) -> int:
@@ -245,6 +251,8 @@ def load_rules(text: str) -> Ruleset:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise RulesError(f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise RulesError("invalid YAML: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise RulesError("ruleset must be a mapping")
     if doc.get("version") != 1:

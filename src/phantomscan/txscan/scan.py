@@ -50,7 +50,7 @@ CONFIRMED = "CONFIRMED"
 POTENTIAL = "POTENTIAL"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TxFinding:
     kind: str
     check: str | None
@@ -85,18 +85,8 @@ class TxFinding:
 def _finding(record: LogRecord, *, kind: str, check: str | None, project: str | None,
              event: str | None, confidence: str, detail: dict) -> TxFinding:
     """A finding located at ``record``."""
-    return TxFinding(
-        kind=kind,
-        check=check,
-        project=project,
-        tx_hash=record.tx_hash,
-        block_number=record.block_number,
-        log_index=record.log_index,
-        address=record.address,
-        event=event,
-        confidence=confidence,
-        detail=detail,
-    )
+    return TxFinding(kind, check, project, record.tx_hash, record.block_number,
+                     record.log_index, record.address, event, confidence, detail)
 
 
 def _topic_address(topic_hex: str) -> str:
@@ -198,9 +188,7 @@ class Scanner:
             out.extend(self._behavior_checks(record, proj, rule))
 
         # an authentic emitter logging outside its declared surface
-        for proj in self.ruleset.projects:
-            if record.address not in proj.authentic_emitters:
-                continue
+        for proj in self.ruleset.emitters.get(record.address, ()):
             if topic0 not in proj.rules_by_topic:
                 out.append(
                     _finding(

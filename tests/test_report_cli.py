@@ -282,6 +282,54 @@ def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
     assert res.stderr == f"error: {corpus}: line 1: address must be a 20-byte hex string\n"
     assert res.stdout == ""
 
+def _corpus_with(tmp_path, line: str) -> Path:
+    """A two-line corpus: a valid record, then ``line``."""
+    first = open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline()
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(first + line + "\n", encoding="utf-8")
+    return corpus
+
+
+def test_cli_rejects_a_deeply_nested_line_naming_it(tmp_path):
+    # the decoder's RecursionError used to exit 3 as an internal error
+    record = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    depth = 100_000  # past the recursion limit of any interpreter
+    line = json.dumps(record)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
+    corpus = _corpus_with(tmp_path, line)
+    for command in (["scan-logs"], ["report", "--logs"]):
+        res = runner().invoke(main, [*command, str(corpus)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {corpus}: line 2: invalid JSON: nested too deeply\n"
+        assert res.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on the digits int() converts")
+def test_cli_rejects_a_number_of_too_many_digits_naming_its_line(tmp_path):
+    # json.loads raises a plain ValueError here, which used to lose the line number
+    record = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    line = json.dumps(record).replace('"logIndex": ', f'"logIndex": {digits}, "was": ', 1)
+    corpus = _corpus_with(tmp_path, line)
+    for command in (["scan-logs"], ["report", "--logs"]):
+        res = runner().invoke(main, [*command, str(corpus)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {corpus}: line 2: invalid JSON: ")
+        assert res.stdout == ""
+
+
+def test_cli_rejects_a_deeply_nested_rules_file_naming_it(tmp_path):
+    # the YAML loader's RecursionError used to exit 3, naming the corpus
+    rules = tmp_path / "deep.yaml"
+    rules.write_text("version: 1\nprojects: " + "[" * 3000 + "]" * 3000 + "\n")
+    for command in (["scan-logs", FIX["bridge_logs.jsonl"], "--rules", str(rules)],
+                    ["report", "--logs", FIX["bridge_logs.jsonl"], "--rules", str(rules)]):
+        res = runner().invoke(main, command)
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {rules}: invalid YAML: nested too deeply\n"
+        assert res.stdout == ""
+
+
 def test_cli_internal_error_exits_3_naming_the_file(monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("boom")

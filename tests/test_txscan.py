@@ -3,8 +3,10 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from reference_records import reference_parse_record
 
 from phantomscan._keccak import event_topic
 from phantomscan.resources import fixture_path
@@ -132,6 +134,151 @@ def test_read_records_reports_line_numbers():
         list(read_records(['["a"]']))
 
 
+def _hex(digits: int):
+    """Mixed-case hex strings of exactly ``digits`` digits after "0x"."""
+    return st.text("0123456789abcdefABCDEF", min_size=digits, max_size=digits).map(
+        lambda body: "0x" + body)
+
+
+_VALID_RECORDS = st.fixed_dictionaries({
+    "txHash": _hex(64),
+    "logIndex": st.integers(min_value=0, max_value=2**70),
+    "blockNumber": st.integers(min_value=0, max_value=2**70),
+    "address": _hex(40),
+    "topics": st.lists(_hex(64), max_size=4),
+    "data": st.integers(min_value=0, max_value=80).flatmap(lambda n: _hex(2 * n)),
+    "txFrom": _hex(40),
+    "txTo": st.none() | _hex(40),
+    "txSelector": st.none() | _hex(8),
+})
+_FIELDS = ["txHash", "logIndex", "blockNumber", "address", "topics", "data", "txFrom", "txTo",
+           "txSelector"]
+_JUNK = (st.none() | st.booleans() | st.integers(min_value=-3, max_value=3) | st.floats()
+         | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+         | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_FAULTS = ["newline", "empty", "bool", "extra", "missing", "junk", "longer", "shorter",
+           "upper-x", "topics"]
+
+
+def _fault(draw, record: dict, name: str, fault: str) -> None:
+    """Put a drawn ``fault`` in field ``name`` of ``record``: an embedded
+    newline, "" (in place of null, say), a bool, an extra key, a missing key,
+    a value of another type, one digit too many or too few, "0X", or topics
+    that are too many or not a list."""
+    value = record.get(name)
+    if fault == "newline" and isinstance(value, str):
+        at = draw(st.integers(min_value=0, max_value=len(value)))
+        record[name] = value[:at] + "\n" + draw(st.sampled_from(["", value[at:]]))
+    elif fault == "empty":
+        record[name] = ""
+    elif fault == "bool":
+        record[name] = draw(st.booleans())
+    elif fault == "extra":
+        record[draw(st.text(max_size=8))] = draw(_JUNK)
+    elif fault == "missing":
+        record.pop(name, None)
+    elif fault == "junk":
+        record[name] = draw(_JUNK)
+    elif fault == "longer" and isinstance(value, str):
+        record[name] = value + draw(st.sampled_from("0aF\n"))
+    elif fault == "shorter" and isinstance(value, str):
+        record[name] = value[:-1]
+    elif fault == "upper-x" and isinstance(value, str):
+        record[name] = value.replace("0x", "0X", 1)
+    elif fault == "topics":
+        topics = draw(st.lists(_hex(64) | _JUNK, max_size=6))
+        record["topics"] = draw(st.sampled_from(
+            [topics, tuple(topics), "".join(t for t in topics if isinstance(t, str))]))
+
+
+def _outcome(parse, obj: dict):
+    try:
+        record = parse(obj, 7)
+    except RecordError as exc:
+        return "error", str(exc)
+    return "record", record, record.lineno, record.topic0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_record_equals_its_reference_on_each_fault(data):
+    record = data.draw(_VALID_RECORDS)
+    assert _outcome(parse_record, record) == _outcome(reference_parse_record, record)
+    for name in _FIELDS:
+        for fault in _FAULTS:
+            bad = dict(record)
+            _fault(data.draw, bad, name, fault)
+            assert _outcome(parse_record, bad) == _outcome(reference_parse_record, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_record_equals_its_reference_on_several_faults(data):
+    record = dict(data.draw(_VALID_RECORDS))
+    faults = st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_FAULTS))
+    for name, fault in data.draw(st.lists(faults, min_size=2, max_size=4)):
+        _fault(data.draw, record, name, fault)
+    assert _outcome(parse_record, record) == _outcome(reference_parse_record, record)
+
+
+def test_a_field_holding_a_newline_does_not_shift_the_others():
+    # joined by "\n" and matched by one pattern for every layout, the address
+    # would read as two fields and every field after it one slot later
+    forged = {
+        "txHash": "0x" + "ab" * 32,
+        "logIndex": 0,
+        "blockNumber": 1,
+        "address": "0x" + "11" * 20 + "\n" + "0x" + "22" * 20,
+        "topics": [],
+        "data": "0x" + "cd" * 32,
+        "txFrom": "0x" + "33" * 20,
+        "txTo": None,
+        "txSelector": "0xaabbccdd",
+    }
+    message = "line 3: address must be a 20-byte hex string"
+    for parse in (parse_record, reference_parse_record):
+        with pytest.raises(RecordError) as exc:
+            parse(forged, 3)
+        assert str(exc.value) == message
+    with pytest.raises(RecordError) as exc:
+        list(read_records(["", "", json.dumps(forged)]))
+    assert str(exc.value) == message
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def test_subclasses_of_the_json_types_parse_as_before():
+    record = {
+        "txHash": _Str("0x" + "AB" * 32),
+        "logIndex": _Int(2),
+        "blockNumber": 9,
+        "address": _Str(VAULT),
+        "topics": _List([t_uint(7), _Str(t_uint(8))]),
+        "data": "0x",
+        "txFrom": ATTACKER,
+        "txTo": _Str(PTOKEN),
+        "txSelector": None,
+    }
+    assert _outcome(parse_record, record) == _outcome(reference_parse_record, record)
+    assert parse_record(record).tx_hash == "0x" + "ab" * 32
+
+
+def test_a_record_built_without_its_signature_topic_is_refused():
+    # the scanner matches every check on topic0, so a record lacking it would match none
+    with pytest.raises(TypeError, match="topic0"):
+        LogRecord("0x" + "ab" * 32, 0, 1, VAULT, (), "0x", ATTACKER, None, None)
+
+
 # -- abi decoding ------------------------------------------------------
 
 
@@ -208,6 +355,7 @@ def test_ruleset_derives_topics():
     for e in proj.events:
         assert e.topic0 == int(event_topic(e.signature), 16)
     assert set(rs.watched) == {e.topic0 for e in proj.events}
+    assert rs.emitters == {VAULT: [proj], PTOKEN: [proj]}
 
 
 def test_strict_ruleset_adds_behavior_rules():

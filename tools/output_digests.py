@@ -4,8 +4,10 @@
 
 Runs each phantomscan subcommand, as a child process, on the bundled
 fixtures, on the acceptance suite's c10 log corpus (50,000 records,
-seed 424242) and on a few malformed sources, which pin the syntax
-errors' text and exit code, and prints one line per invocation:
+seed 424242), on a few malformed sources, which pin the syntax
+errors' text and exit code, and on a few small log corpora (one valid in
+mixed case, the others each malformed in one way), which pin the record
+parser's errors the same way.  It prints one line per invocation:
 
     <sha256 of stdout, NUL, stderr> <exit code> <invocation>
 
@@ -54,6 +56,63 @@ LEXER_CASES = {
     "unclosed.msol": "contract C {\n  uint256 a;\n  function f() external { a = 1; }\n",
     "comment_utf8.msol": ("// d\u00e9p\u00f4t \u00b2 \u2014 any character is fine here\n"
                           "contract C { uint256 a;\n  function f() external { a = 1; } }\n"),
+}
+
+# log corpora that pin the record parser's paths: one valid corpus in mixed case,
+# with null fields and 0 to 3 topics, then a valid first line and a malformed
+# second one per check the parser makes
+_TRANSFER = "0xDDF252AD1BE2C89B69C2B068FC378DAA952BA7F163C4A11628F55A4DF523B3EF"
+_RECORD = {
+    "txHash": "0x" + "0" * 60 + "aAa1",
+    "logIndex": 0,
+    "blockNumber": 120,
+    "address": "0x" + "2" * 40,
+    "topics": [_TRANSFER, "0x" + "0" * 24 + "E0" * 20, "0x" + "0" * 24 + "1" * 40],
+    "data": "0x" + "0" * 60 + "C350",
+    "txFrom": "0xe0E0" + "e0" * 18,
+    "txTo": "0x" + "A7" * 20,
+    "txSelector": "0xAABBccdd",
+}
+_DROP = object()
+
+
+def _line(**changes) -> str:
+    """`_RECORD` as a JSON line, with `changes` (the value `_DROP` removes its key)."""
+    record = {**_RECORD, **changes}
+    return json.dumps({k: v for k, v in record.items() if v is not _DROP})
+
+
+LOG_CASES = {
+    "mixed_case.jsonl": "\n".join([
+        _line(),
+        "",
+        _line(logIndex=1, address="0x" + "aB" * 20, txTo=None, txSelector=None,
+              topics=[_TRANSFER, "0x" + "0" * 24 + "C3" * 20, "0x" + "0" * 24 + "d4" * 20]),
+        _line(logIndex=2, address="0x" + "1" * 40, topics=[], data="0x"),
+        _line(logIndex=3, address="0x" + "Cd" * 20, topics=[_TRANSFER[:-1] + "f"] * 2,
+              txSelector=None),
+    ]) + "\n",
+    "invalid_json.jsonl": _line() + "\n" + '{"txHash": "0x12",\n',
+    "extra_data.jsonl": _line() + "\n" + _line(logIndex=1) + " {}\n",
+    "bom.jsonl": _line() + "\n\ufeff" + _line(logIndex=1) + "\n",
+    "not_an_object.jsonl": _line() + "\n[1, 2]\n",
+    "missing_txhash.jsonl": _line() + "\n" + _line(logIndex=1, txHash=_DROP) + "\n",
+    "short_txhash.jsonl": _line() + "\n" + _line(logIndex=1, txHash="0x" + "1" * 63) + "\n",
+    # joined by "\n" and matched by one pattern for every layout, this record would parse
+    "address_newline.jsonl": _line() + "\n" + _line(
+        logIndex=1, address="0x" + "1" * 40 + "\n0x" + "2" * 40, topics=[],
+        data="0x" + "ab" * 32, txTo=None) + "\n",
+    "upper_x_txfrom.jsonl": _line() + "\n" + _line(logIndex=1, txFrom="0X" + "e0" * 20) + "\n",
+    "empty_txto.jsonl": _line() + "\n" + _line(logIndex=1, txTo="") + "\n",
+    "missing_txto.jsonl": _line() + "\n" + _line(logIndex=1, txTo=_DROP) + "\n",
+    "long_selector.jsonl": _line() + "\n" + _line(logIndex=1, txSelector="0xaabbccdd00") + "\n",
+    "missing_logindex.jsonl": _line() + "\n" + _line(logIndex=_DROP) + "\n",
+    "bool_blocknumber.jsonl": _line() + "\n" + _line(logIndex=1, blockNumber=True) + "\n",
+    "negative_logindex.jsonl": _line() + "\n" + _line(logIndex=-1) + "\n",
+    "five_topics.jsonl": _line() + "\n" + _line(logIndex=1, topics=[_TRANSFER] * 5) + "\n",
+    "short_topic.jsonl": _line() + "\n" + _line(logIndex=1, topics=[_TRANSFER[:-1]]) + "\n",
+    "odd_data.jsonl": _line() + "\n" + _line(logIndex=1, data="0xabc") + "\n",
+    "missing_data.jsonl": _line() + "\n" + _line(logIndex=1, data=_DROP) + "\n",
 }
 
 
@@ -185,6 +244,10 @@ def invocations() -> list[list[str]]:
     runs += [everything, everything + ["--out", "report.json"]]
     for name in LEXER_CASES:
         runs += [["parse", name], ["analyze-source", name]]
+    runs += [["scan-logs", "mixed_case.jsonl", "--json"],
+             ["scan-logs", "mixed_case.jsonl", "--rules", "bridge_rules.yaml", "--json"]]
+    for name in LOG_CASES:
+        runs.append(["scan-logs", name])
     return runs
 
 
@@ -204,7 +267,7 @@ def main(argv: list[str]) -> int:
         with open(Path(work) / "c10.jsonl", "w", encoding="utf-8") as fh:
             for row in c10_rows(C10_RECORDS, keccak256):
                 fh.write(json.dumps(row) + "\n")
-        for name, text in LEXER_CASES.items():
+        for name, text in {**LEXER_CASES, **LOG_CASES}.items():
             (Path(work) / name).write_text(text, encoding="utf-8")
         for args in invocations():
             proc = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args],
