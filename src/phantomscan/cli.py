@@ -226,7 +226,7 @@ def parse(file: str, as_summary: bool) -> None:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sigdb", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--strict-eq2", is_flag=True,
-              help="Also run the purely structural per-function check.")
+              help="Use the structural per-function check in place of NO_TAINT_RELATED_SSTORE.")
 @click.option("--json", "as_json", is_flag=True)
 def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bool) -> None:
     """Taint-analyze every LOG site in compiled bytecode."""

@@ -96,7 +96,6 @@ class _State:
     def __init__(self):
         self.env: dict[str, SymValue] = {}
         self.storage: dict[tuple, SymValue] = {}
-        self.versions: dict[tuple, int] = {}
         self.read_memo: dict[tuple, StorageSym] = {}
         self.conjuncts: list[SymValue] = []
         self.emits: list[EmitRecord] = []
@@ -109,7 +108,6 @@ class _State:
         s = _State.__new__(_State)
         s.env = dict(self.env)
         s.storage = dict(self.storage)
-        s.versions = dict(self.versions)
         s.read_memo = dict(self.read_memo)
         s.conjuncts = list(self.conjuncts)
         s.emits = list(self.emits)
@@ -163,15 +161,13 @@ class _Executor:
         if slot not in st.read_memo:
             decl = self.contract.state_var(var)
             st.read_memo[slot] = StorageSym(
-                var=var, key=key, version=st.versions.get(slot, 0),
-                sort=sort_of_type(decl.type))
+                var=var, key=key, version=0, sort=sort_of_type(decl.type))
         return st.read_memo[slot]
 
     def write_storage(self, var: str, key: SymValue | None, value: SymValue,
                       st: _State) -> None:
         slot = _slot(var, key)
         st.storage[slot] = value
-        st.versions[slot] = st.versions.get(slot, 0) + 1
         st.writes.append(WriteRecord(var=var, key=key, value=value))
 
     # ------------------------------------------------------------ statements

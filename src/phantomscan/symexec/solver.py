@@ -297,7 +297,7 @@ def _storage_consistent(model: dict[SymValue, int]) -> bool:
     slots: list[StorageSym] = [s for s in model if isinstance(s, StorageSym)]
     for i, a in enumerate(slots):
         for b in slots[i + 1:]:
-            if a.var != b.var or a.tag != b.tag or a.version != b.version:
+            if a.var != b.var or a.tag != b.tag:
                 continue
             if (a.key is None) != (b.key is None):
                 continue

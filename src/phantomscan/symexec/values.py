@@ -129,7 +129,7 @@ class StorageSym(_Node):
 
     var: str
     key: SymValue | None
-    version: int
+    version: int  # 0: a read of a slot the path wrote returns the written value
     sort: str = "uint"
     tag: str = ""
 

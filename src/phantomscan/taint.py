@@ -323,16 +323,17 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     scope of its function and call context, and a crossing's PHIs key
     their defs in the block's scope and their uses in the predecessor's,
     so every run of a block on a path names values of its own, except
-    around a loop.  The walk stops at a block in a state a finished walk
-    left there: call context, entry slots to bridge, and the state a
-    later step can read: of the environment keys and the block's own and
-    bridged entry slots in its scope, those tainted or waiting and, while
-    the unchecked-call verdict is open, their classes.  A walk is
-    recorded as finished only if nothing below it read what the state
-    leaves out, an edge its path had crossed before; this one rule keeps
-    loops exact, as a path back into a loop block tries again the edge it
-    left it by.  Paths share their common part through (segment, rest)
-    links."""
+    around a loop.  Each visit has a bridge of its own: the block's entry
+    slots that carry the slots its successor on the path reads.  The walk
+    stops at a block in a state a finished walk left there: call context,
+    bridge, and the state a later step can read: of the environment keys
+    and the block's own and bridged entry slots in its scope, those
+    tainted or waiting and, while the unchecked-call verdict is open,
+    their classes.  A walk is recorded as finished only if nothing below
+    it read what the state leaves out, an edge its path had crossed
+    before; this one rule keeps loops exact, as a path back into a loop
+    block tries again the edge it left it by.  Paths share their common
+    part through (segment, rest) links."""
     value_keys = build_value_keys(icfg)
     env = set(value_keys.values())
     tac = icfg.lifted[logop.block].tac
@@ -350,16 +351,14 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
 
     paths: list[PathSlice] = []
     scopes = {(logop.function, ()): 0}  # (function, call context) -> scope
-    edges_used: set[tuple] = set()
-    crossed_at: dict[tuple, int] = {}  # edge -> trail mark of the visit that crossed it
-    pending: dict[int, set[int]] = {}
+    crossed: dict[tuple, int] = {}  # edge on the path -> trail mark of the visit that crossed it
     done: set[tuple] = set()
     reads: dict[tuple[int, int], set] = {}  # (block, scope) -> env and the block's slot keys
     low: list[int] = []  # per open visit: the lowest trail mark its subtree read below
-    # ("visit", fn, block, context, scope, link) | ("cross", block, scope, link,
-    # mark, pred_fn, pred_block, pred_context, pred_scope, edge_key)
+    # ("visit", fn, block, context, scope, bridge, link) | ("cross", block, scope,
+    # bridge, link, mark, pred_fn, pred_block, pred_context, pred_scope, edge_key)
     # | ("undo", mark) | ("finish", state, mark) | ("entry", fn, block, link)
-    stack: list[tuple] = [("visit", logop.function, logop.block, (), 0, (prefix, None))]
+    stack: list[tuple] = [("visit", logop.function, logop.block, (), 0, frozenset(), (prefix, None))]
 
     while stack:
         item = stack.pop()
@@ -376,28 +375,27 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
             if below >= mark:
                 done.add(state)
         elif kind == "cross":
-            _, block, scope, link, mark, pred_fn, pred_block, context, pred_scope, edge_key = item
-            if edge_key in edges_used:
-                low[-1] = min(low[-1], crossed_at[edge_key])
+            (_, block, scope, bridge, link, mark,
+             pred_fn, pred_block, context, pred_scope, edge_key) = item
+            if edge_key in crossed:
+                low[-1] = min(low[-1], crossed[edge_key])
                 continue
-            crossed_at[edge_key] = mark
             stack.append(("undo", len(walk.trail)))
-            walk.add(edges_used, [edge_key])
+            crossed[edge_key] = mark
+            walk.trail.append((crossed.pop, edge_key))
             plb = icfg.lifted[pred_block]
-            slots = sorted(set(range(icfg.lifted[block].extern_consumed)) | pending.get(block, set()))
+            slots = sorted(bridge.union(range(icfg.lifted[block].extern_consumed)))
             srcs = {k: plb.exit_var(k) for k in slots}
-            bridged = {plb.entry_slot(src) for src in srcs.values()} - {None}
-            walk.add(pending.setdefault(pred_block, set()), bridged)
+            bridged = frozenset(plb.entry_slot(src) for src in srcs.values()) - {None}
             seg = [TacInstruction(pc=block, op="PHI", defs=(f"S{k}@{block:#x}",), uses=(src,))
                    for k, src in srcs.items()]
             seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,)))
             seg += reversed(plb.tac)
             walk.step(seg, pred_scope, scope)
-            stack.append(("visit", pred_fn, pred_block, context, pred_scope, (seg, link)))
+            stack.append(("visit", pred_fn, pred_block, context, pred_scope, bridged, (seg, link)))
         elif kind == "visit":
-            _, fn_name, block, context, scope, link = item
+            _, fn_name, block, context, scope, bridge, link = item
             fn = icfg.functions[fn_name]
-            bridge = frozenset(pending.get(block, ()))
             if (block, scope) not in reads:
                 reads[block, scope] = env.union(("v", v, scope) for t in icfg.lifted[block].tac
                                                 for v in t.variables if v[0] == "S")
@@ -436,7 +434,7 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
                     outer_scope = scopes.setdefault((edge.caller, context), len(scopes))
                     moves.append((edge.caller, edge.call_block, context, outer_scope,
                                   ("call", outer_scope, edge.call_block, fn_name)))
-            stack += [("cross", block, scope, link, mark, *move) for move in reversed(moves)]
+            stack += [("cross", block, scope, bridge, link, mark, *move) for move in reversed(moves)]
         else:
             _, fn_name, block, link = item
             if len(paths) >= MAX_PATHS:

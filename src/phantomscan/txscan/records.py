@@ -138,9 +138,15 @@ def parse_record(obj: dict, lineno: int = 0) -> LogRecord:
                      topic0=int(topics[0], 16) if topics else None)
 
 
-def read_records(lines: Iterable[str]) -> Iterator[LogRecord]:
-    """Parse JSONL content, skipping blank lines."""
+def read_records(lines: Iterable[str | bytes]) -> Iterator[LogRecord]:
+    """Parse JSONL content, skipping blank lines; a bytes line is decoded here."""
     for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode()
+            except UnicodeDecodeError as exc:
+                raise RecordError(lineno, f"invalid UTF-8: byte {line[exc.start]:#04x} at "
+                                          f"offset {exc.start}: {exc.reason}") from exc
         line = line.strip()
         if not line:
             continue
@@ -158,5 +164,5 @@ def read_records(lines: Iterable[str]) -> Iterator[LogRecord]:
 
 
 def read_records_file(path: str | Path) -> Iterator[LogRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # lines end at LF; `read_records` decodes each
         yield from read_records(fh)

@@ -5,16 +5,20 @@ function entry, crossing each directed edge at most once per path and
 call context, and `reference_detect` runs the single-pass taint rule
 over each listed path on its own.  Like the walk, the search crosses
 every call through its callee, never along the caller's call-block ->
-return-block edge, and names values by scope: a listed path renames
-each variable `<name>#<scope>`, the scope standing for the function and
-call context of the visit that runs it (a PHI's def takes the block's
-scope, its use the predecessor's), and only the variables environment
-reads define keep their names.  So a helper the path runs twice has
-values of its own per run, and `reference_taint`, `_related_fixpoint`
-and `_unchecked_external_call` judge the renamed path with the flat
-rule.  The path count doubles with every independent branch in front
-of a LOG, so the search stops after `max_paths` paths and marks the
-event's findings INCOMPLETE.
+return-block edge.  A crossing bridges the entry slots the visit reads,
+the block's consumed slots and the bridge its visit was handed, and
+hands the predecessor's visit, as its bridge, the predecessor's entry
+slots that carry them: the slots to bridge are per visit.  Values are
+named by scope: a listed path renames each variable `<name>#<scope>`,
+the scope standing for the function and call context of the visit that
+runs it (a PHI's def takes the block's scope, its use the
+predecessor's), and only the variables environment reads define keep
+their names.  So a helper the path runs twice has values of its own
+per run, and `reference_taint`, `_related_fixpoint` and
+`_unchecked_external_call` judge the renamed path with the flat rule.
+The path count doubles with every independent branch in front of a
+LOG, so the search stops after `max_paths` paths and marks the event's
+findings INCOMPLETE.
 """
 
 from dataclasses import replace
@@ -72,44 +76,33 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
 
     paths = []
     edges_used = set()
-    pending = {}
-    trail = []  # (set, member) added by each crossing
-    stack = [("visit", logop.function, logop.block, (), (prefix, None))]
+    stack = [("visit", logop.function, logop.block, (), frozenset(), (prefix, None))]
 
     while stack:
         item = stack.pop()
         kind = item[0]
         if kind == "undo":
-            while len(trail) > item[1]:
-                members, member = trail.pop()
-                members.discard(member)
+            edges_used.discard(item[1])
         elif kind == "cross":
-            _, block, scope, link, pred_fn, pred_block, context, edge_key = item
+            _, block, scope, bridge, link, pred_fn, pred_block, context, edge_key = item
             if edge_key in edges_used:
                 continue
-            stack.append(("undo", len(trail)))
+            stack.append(("undo", edge_key))
             edges_used.add(edge_key)
-            trail.append((edges_used, edge_key))
             plb = icfg.lifted[pred_block]
             pred_scope = scopes.setdefault((pred_fn, context), len(scopes))
-            slots = pending.setdefault(pred_block, set())
-            phis = []
-            for k in sorted(set(range(icfg.lifted[block].extern_consumed))
-                            | pending.get(block, set())):
-                src = plb.exit_var(k)
-                phis.append(TacInstruction(pc=block, op="PHI",
-                                           defs=(f"S{k}@{block:#x}",), uses=(src,)))
-                slot = plb.entry_slot(src)
-                if slot is not None and slot not in slots:
-                    slots.add(slot)
-                    trail.append((slots, slot))
+            srcs = {k: plb.exit_var(k)
+                    for k in sorted(bridge.union(range(icfg.lifted[block].extern_consumed)))}
+            phis = [TacInstruction(pc=block, op="PHI", defs=(f"S{k}@{block:#x}",), uses=(src,))
+                    for k, src in srcs.items()]
             seg = rename(phis, scope, pred_scope)
             seg.append(TacInstruction(pc=pred_block, op="SEGMENT", defs=(pred_fn,),
                                       const=pred_scope))
             seg += run(pred_block, pred_scope)
-            stack.append(("visit", pred_fn, pred_block, context, (seg, link)))
+            bridged = frozenset(plb.entry_slot(src) for src in srcs.values()) - {None}
+            stack.append(("visit", pred_fn, pred_block, context, bridged, (seg, link)))
         elif kind == "visit":
-            _, fn_name, block, context, link = item
+            _, fn_name, block, context, bridge, link = item
             fn = icfg.functions[fn_name]
             scope = scopes.setdefault((fn_name, context), len(scopes))
             returns = icfg.return_edges_at(fn_name, block)
@@ -131,7 +124,7 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
                 moves += [(edge.caller, edge.call_block, context,
                            ("call", context, edge.caller, edge.call_block, fn_name))
                           for edge in callers]
-            stack += [("cross", block, scope, link, *move) for move in reversed(moves)]
+            stack += [("cross", block, scope, bridge, link, *move) for move in reversed(moves)]
         else:
             _, fn_name, block, link = item
             if len(paths) >= max_paths:

@@ -318,6 +318,19 @@ def test_cli_rejects_a_number_of_too_many_digits_naming_its_line(tmp_path):
         assert res.stdout == ""
 
 
+def test_cli_rejects_a_byte_that_is_not_utf8_naming_its_line(tmp_path):
+    # the text-mode file raised UnicodeDecodeError while it read ahead, with
+    # no line number and a position counted from the decoder's chunk
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(Path(FIX["bridge_logs.jsonl"]).read_bytes() + b'{"txHash": "\xff"}\n')
+    for command in (["scan-logs"], ["report", "--logs"]):
+        res = runner().invoke(main, [*command, str(corpus)])
+        assert res.exit_code == 2
+        assert res.stderr == (f"error: {corpus}: line 8: invalid UTF-8: byte 0xff at offset 12:"
+                              " invalid start byte\n")
+        assert res.stdout == ""
+
+
 def test_cli_rejects_a_deeply_nested_rules_file_naming_it(tmp_path):
     # the YAML loader's RecursionError used to exit 3, naming the corpus
     rules = tmp_path / "deep.yaml"

@@ -862,6 +862,22 @@ class TestAgainstReference:
         assert len(findings[0].paths) == 1
         assert same_as_reference(icfg)
 
+    def test_each_run_of_a_helper_bridges_its_own_slots(self):
+        # round the loop's second arm the walk meets the helper block twice:
+        # first the run on 9 whose result the arm drops, which bridges the
+        # logged value in its third entry slot, then the run on the value,
+        # which reads only its own two.  Handed only what its own successor
+        # reads, the second run bridges no third slot, so the round reaches
+        # the entry in the state the path that skips the loop finished
+        # there, and lists no second path
+        icfg = build_icfg(structured([("loop", [], ["inc", "side"])], "add", ("CALLER",)))
+        findings = detect(icfg)
+        assert [(f.kind, f.condition, f.confidence) for f in findings] == [
+            ("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", "POTENTIAL")]
+        assert findings[0].paths == (
+            "func_10000000 [func_10000000:0x24->func_10000000:0x26->func_10000000:0x52] log@0x7b",)
+        assert same_as_reference(icfg)
+
     def test_loop_dense_programs(self):
         rng = random.Random(10)
         compared = 0

@@ -134,6 +134,17 @@ def test_read_records_reports_line_numbers():
         list(read_records(['["a"]']))
 
 
+def test_read_records_decodes_bytes_line_by_line():
+    # a bad byte names its line and its offset in that line; a BOM is not
+    # taken for an encoding mark, and a line may end in CR LF
+    good = fixture_path("bridge_logs.jsonl").read_bytes().splitlines(keepends=True)[0]
+    assert list(read_records([good.replace(b"\n", b"\r\n")])) == list(read_records([good]))
+    with pytest.raises(RecordError, match="^line 3: invalid UTF-8: byte 0xc3 at offset 3: "):
+        list(read_records([good, b"\n", b' ["\xc3"]\n']))
+    with pytest.raises(RecordError, match="^line 1: invalid JSON: "):
+        list(read_records([b"\xef\xbb\xbf" + good]))
+
+
 def _hex(digits: int):
     """Mixed-case hex strings of exactly ``digits`` digits after "0x"."""
     return st.text("0123456789abcdefABCDEF", min_size=digits, max_size=digits).map(

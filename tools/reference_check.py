@@ -9,7 +9,7 @@ helper, and the fuzz suite's `_random_code` and `_random_call_code`),
 runs `detect` and the exhaustive `reference_detect` from
 `tests/reference_slice.py` on each, and prints one line per generator:
 
-    <generator> <programs> <complete> <mismatches> <reruns>
+    <generator> <programs> <complete> <mismatches> <reruns> <paths>
 
 The search judges each listed path on its own, the unchecked-call
 rule included (`_unchecked_external_call` re-reads the whole path),
@@ -22,7 +22,9 @@ site; a mismatch is a program where the two give different findings on
 an event whose log sites the search finished; a rerun is a program in
 which a path the search lists runs one block under two scopes (a
 helper called twice, or a block two functions own), where that naming
-decides what the two runs share.  Exits 1 when there is a mismatch.
+decides what the two runs share; paths counts the reverse paths the
+walk (`backward_slice`) lists over every log site of every program, the
+evidence a report carries.  Exits 1 when there is a mismatch.
 Needs pytest and hypothesis, as the tests do.
 """
 
@@ -44,7 +46,7 @@ def main(argv: list[str]) -> int:
 
     from phantomscan.evm import Bytecode
     from phantomscan.lifter import build_icfg
-    from phantomscan.taint import extract_log_ops
+    from phantomscan.taint import backward_slice, extract_log_ops
     from reference_slice import reference_slice
     from test_fuzz import _random_call_code, _random_code
     from test_taint import (CALL_STARTS, HELPER_BODIES, call_segments, loop_segments,
@@ -79,7 +81,7 @@ def main(argv: list[str]) -> int:
     failed = False
     for name, make in generators.items():
         rng = random.Random(seed)
-        complete = mismatches = rerun = 0
+        complete = mismatches = rerun = paths = 0
         for _ in range(n):
             icfg = build_icfg(make(rng))
             try:
@@ -87,8 +89,9 @@ def main(argv: list[str]) -> int:
             except AssertionError:
                 mismatches += 1
             rerun += reruns(icfg)
+            paths += sum(len(backward_slice(icfg, op)[0]) for op in extract_log_ops(icfg))
         failed |= mismatches > 0
-        print(name, n, complete, mismatches, rerun, flush=True)
+        print(name, n, complete, mismatches, rerun, paths, flush=True)
     return 1 if failed else 0
 
 
