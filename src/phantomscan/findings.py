@@ -6,6 +6,13 @@ collapse.  Confidence means: CONFIRMED carries a concrete witness or a
 broken operator-declared rule, POTENTIAL is a static or heuristic
 signal, INCOMPLETE means a search budget ran out before the question
 was settled.
+
+Each layer hands `make_finding` plain JSON: dicts with str keys, lists,
+and str, int, bool or None values, which it keeps as given, uncopied.
+Anything else is an internal error (exit 3), never quietly coerced: a
+set, bytes or any other object the JSON encoder rejects raises
+TypeError here, and the tests check that every layer's subjects and
+evidence survive a JSON round trip unchanged (a tuple would not).
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ LAYER_LOGS = "logs"
 CONFIDENCE_RANK = {"CONFIRMED": 0, "POTENTIAL": 1, "INCOMPLETE": 2}
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})
-
 # compact and key-sorted; built once, as json.dumps with options builds one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -35,29 +40,6 @@ _compact_parts = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii,
 def _compact(value) -> str:
     """`_ENCODER.encode(value)`, for a value holding no reference cycle."""
     return "".join(_compact_parts(value, 0))
-
-
-def jsonable(value):
-    """Coerce detector payloads into plain JSON values."""
-    kind = type(value)
-    if kind in _PLAIN:
-        return value
-    if kind is dict:
-        return {k if type(k) is str else str(k): v if type(v) in _PLAIN else jsonable(v)
-                for k, v in value.items()}
-    if kind is list or kind is tuple:
-        return [v if type(v) in _PLAIN else jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonable(v) for v in value)
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
 
 
 def _topic_hex(topic0) -> str | None:
@@ -102,8 +84,6 @@ class Finding:
 
 
 def make_finding(layer: str, kind: str, confidence: str, subject: dict, evidence: dict) -> Finding:
-    subject = jsonable(subject)
-    evidence = jsonable(evidence)
     subject_json = _compact(subject)
     # the id hashes {"layer", "kind", "subject", "evidence"} as compact, key-sorted JSON
     blob = (f'{{"evidence":{_compact(evidence)},"kind":{encode_basestring_ascii(kind)},'
@@ -114,37 +94,21 @@ def make_finding(layer: str, kind: str, confidence: str, subject: dict, evidence
     return finding
 
 
+def _artifact_subject(finding, origin: str, functions) -> dict:
+    """The subject of a bytecode or source finding; origin names the analyzed artifact."""
+    return {"origin": origin, "contract": finding.contract, "event": finding.event,
+            "topic0": _topic_hex(finding.topic0), "functions": list(functions)}
+
+
 def from_bytecode(finding, origin: str) -> Finding:
-    """Wrap a taint-layer finding; origin names the analyzed artifact."""
-    return make_finding(
-        LAYER_BYTECODE,
-        finding.kind,
-        finding.confidence,
-        subject={
-            "origin": origin,
-            "contract": finding.contract,
-            "event": finding.event,
-            "topic0": _topic_hex(finding.topic0),
-            "functions": list(finding.entries),
-        },
-        evidence={"condition": finding.condition, "paths": list(finding.paths)},
-    )
+    return make_finding(LAYER_BYTECODE, finding.kind, finding.confidence,
+                        _artifact_subject(finding, origin, finding.entries),
+                        {"condition": finding.condition, "paths": list(finding.paths)})
 
 
 def from_source(finding, origin: str) -> Finding:
-    return make_finding(
-        LAYER_SOURCE,
-        finding.kind,
-        finding.confidence,
-        subject={
-            "origin": origin,
-            "contract": finding.contract,
-            "event": finding.event,
-            "topic0": _topic_hex(finding.topic0),
-            "functions": list(finding.functions),
-        },
-        evidence=finding.detail,
-    )
+    return make_finding(LAYER_SOURCE, finding.kind, finding.confidence,
+                        _artifact_subject(finding, origin, finding.functions), finding.detail)
 
 
 def from_txlog(finding) -> Finding:

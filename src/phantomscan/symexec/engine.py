@@ -95,8 +95,8 @@ def _slot(var: str, key: SymValue | None) -> tuple:
 class _State:
     def __init__(self):
         self.env: dict[str, SymValue] = {}
+        # slot -> its value: the last write, or the StorageSym its first read made
         self.storage: dict[tuple, SymValue] = {}
-        self.read_memo: dict[tuple, StorageSym] = {}
         self.conjuncts: list[SymValue] = []
         self.emits: list[EmitRecord] = []
         self.writes: list[WriteRecord] = []
@@ -108,7 +108,6 @@ class _State:
         s = _State.__new__(_State)
         s.env = dict(self.env)
         s.storage = dict(self.storage)
-        s.read_memo = dict(self.read_memo)
         s.conjuncts = list(self.conjuncts)
         s.emits = list(self.emits)
         s.writes = list(self.writes)
@@ -156,13 +155,10 @@ class _Executor:
 
     def read_storage(self, var: str, key: SymValue | None, st: _State) -> SymValue:
         slot = _slot(var, key)
-        if slot in st.storage:
-            return st.storage[slot]
-        if slot not in st.read_memo:
+        if slot not in st.storage:
             decl = self.contract.state_var(var)
-            st.read_memo[slot] = StorageSym(
-                var=var, key=key, version=0, sort=sort_of_type(decl.type))
-        return st.read_memo[slot]
+            st.storage[slot] = StorageSym(var=var, key=key, version=0, sort=sort_of_type(decl.type))
+        return st.storage[slot]
 
     def write_storage(self, var: str, key: SymValue | None, value: SymValue,
                       st: _State) -> None:

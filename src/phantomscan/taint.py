@@ -500,79 +500,57 @@ def _path_summary(slice_: PathSlice) -> str:
 
 
 def detect(icfg: Icfg, sigdb=None, strict_eq2: bool = False) -> list[BytecodeFinding]:
-    """Run the full bytecode-level analysis and return sorted findings."""
+    """Run the full bytecode-level analysis and return sorted findings.
+    Under `strict_eq2` the literal per-function rule, STRICT_STRUCTURAL
+    (an emitting function with no conditional jump at all, or touching
+    no storage at all), replaces NO_TAINT_RELATED_SSTORE."""
     logops = extract_log_ops(icfg)
-
-    tainted_by_event: dict[int | None, list[PathSlice]] = {}
-    il_by_event: dict[int | None, list[PathSlice]] = {}
-    nocheck_by_event: dict[int | None, list[PathSlice]] = {}
+    groups: dict[tuple, list[PathSlice]] = {}  # (kind, condition, topic0) -> its paths
     incomplete_events: set = set()
+    findings: list[BytecodeFinding] = []
+
+    def finding(kind: str, condition: str, topic0, entries, slices=()) -> BytecodeFinding:
+        sig = sigdb.topic_signature(topic0) if (sigdb and topic0 is not None) else None
+        return BytecodeFinding(
+            kind=kind,
+            condition=condition,
+            topic0=topic0,
+            event=_event_label(topic0, sig),
+            contract=icfg.origin,
+            # a finding read off no path is settled whatever the path budget did
+            confidence="INCOMPLETE" if slices and topic0 in incomplete_events else "POTENTIAL",
+            entries=tuple(sorted(entries)),
+            paths=tuple(_path_summary(s) for s in slices),
+        )
 
     for logop in logops:
         slices, exceeded = backward_slice(icfg, logop)
         if exceeded:
             incomplete_events.add(logop.topic0)
+        if strict_eq2:
+            fn = icfg.functions[logop.function]
+            ops = {t.op for off in fn.block_offsets for t in icfg.lifted[off].tac}
+            if "JUMPI" not in ops or not ops & {"SLOAD", "SSTORE"}:
+                findings.append(finding("INCONSISTENT_LOGGING", "STRICT_STRUCTURAL",
+                                        logop.topic0, {logop.function}))
         for sl in slices:
             if "source" in sl.verdicts:
-                tainted_by_event.setdefault(logop.topic0, []).append(sl)
+                keys = [("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS")]
                 if not strict_eq2 and "anchor" not in sl.verdicts:
-                    il_by_event.setdefault(logop.topic0, []).append(sl)
+                    keys.append(("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE"))
             elif "unchecked" in sl.verdicts:
-                nocheck_by_event.setdefault(logop.topic0, []).append(sl)
+                keys = [("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL")]
+            else:
+                continue
+            for kind, condition in keys:
+                groups.setdefault((kind, condition, logop.topic0), []).append(sl)
 
-    def event_name(topic0):
-        sig = sigdb.topic_signature(topic0) if (sigdb and topic0 is not None) else None
-        return _event_label(topic0, sig)
-
-    def finding(kind: str, condition: str, topic0, entries, slices) -> BytecodeFinding:
-        return BytecodeFinding(
-            kind=kind,
-            condition=condition,
-            topic0=topic0,
-            event=event_name(topic0),
-            contract=icfg.origin,
-            confidence="INCOMPLETE" if topic0 in incomplete_events else "POTENTIAL",
-            entries=tuple(sorted(entries)),
-            paths=tuple(_path_summary(s) for s in slices),
-        )
-
-    findings: list[BytecodeFinding] = []
-    if strict_eq2:
-        findings.extend(_detect_strict_structural(icfg, logops, event_name))
-    for topic0, slices in il_by_event.items():
-        findings.append(finding("INCONSISTENT_LOGGING", "NO_TAINT_RELATED_SSTORE", topic0,
-                                {s.entry_function for s in slices}, slices))
-    for topic0, slices in tainted_by_event.items():
-        public_entries = {s.entry_function for s in slices
-                          if icfg.functions[s.entry_function].is_public}
-        if len(public_entries) > 1:
-            findings.append(finding("EVENT_COUNTERFEITING", "MULTI_TAINTED_PATHS", topic0,
-                                    public_entries, slices))
-    for topic0, slices in nocheck_by_event.items():
-        findings.append(finding("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL", topic0,
-                                {s.entry_function for s in slices}, slices))
+    for (kind, condition, topic0), slices in groups.items():
+        entries = {s.entry_function for s in slices}
+        if condition == "MULTI_TAINTED_PATHS":
+            entries = {e for e in entries if icfg.functions[e].is_public}
+            if len(entries) < 2:
+                continue
+        findings.append(finding(kind, condition, topic0, entries, slices))
     # stable: findings that tie on the sort key keep the order of their first log site
     return sorted(findings, key=BytecodeFinding.sort_key)
-
-
-def _detect_strict_structural(icfg: Icfg, logops: list[LogOp], event_name) -> list[BytecodeFinding]:
-    """Literal per-function rule: flag an emitting function only when it
-    has no conditional jump at all, or touches no storage at all."""
-    out: list[BytecodeFinding] = []
-    for logop in logops:
-        fn = icfg.functions[logop.function]
-        ops = [t.op for off in fn.block_offsets for t in icfg.lifted[off].tac]
-        no_constraint = "JUMPI" not in ops
-        no_storage = "SLOAD" not in ops and "SSTORE" not in ops
-        if no_constraint or no_storage:
-            out.append(BytecodeFinding(
-                kind="INCONSISTENT_LOGGING",
-                condition="STRICT_STRUCTURAL",
-                topic0=logop.topic0,
-                event=event_name(logop.topic0),
-                contract=icfg.origin,
-                confidence="POTENTIAL",
-                entries=(logop.function,),
-                paths=(),
-            ))
-    return sorted(out, key=BytecodeFinding.sort_key)

@@ -91,8 +91,8 @@ class Project:
     events: tuple[EventRule, ...]
 
     @cached_property
-    def emitters_sorted(self) -> tuple[str, ...]:
-        return tuple(sorted(self.authentic_emitters))
+    def emitters_sorted(self) -> list[str]:
+        return sorted(self.authentic_emitters)
 
     @cached_property
     def rules_by_topic(self) -> dict[int, EventRule]:

@@ -67,20 +67,6 @@ class TxFinding:
     def sort_key(self):
         return (self.block_number, self.tx_hash, self.log_index, self.kind, self.check or "")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "check": self.check,
-            "project": self.project,
-            "txHash": self.tx_hash,
-            "blockNumber": self.block_number,
-            "logIndex": self.log_index,
-            "address": self.address,
-            "event": self.event,
-            "confidence": self.confidence,
-            "detail": self.detail,
-        }
-
 
 def _finding(record: LogRecord, *, kind: str, check: str | None, project: str | None,
              event: str | None, confidence: str, detail: dict) -> TxFinding:

@@ -19,7 +19,7 @@ from test_acceptance import _synthetic_corpus
 from phantomscan import SCHEMA, jsonout
 from phantomscan._keccak import keccak256
 from phantomscan.cli import main
-from phantomscan.findings import CONFIDENCE_RANK, from_txlog, jsonable, make_finding
+from phantomscan.findings import CONFIDENCE_RANK, from_txlog, make_finding
 from phantomscan.report import merge
 from phantomscan.resources import fixture_path
 from phantomscan.txscan import load_rules_file, parse_record, read_records_file, scan_records
@@ -77,44 +77,6 @@ _PAYLOADS = st.dictionaries(_TEXT, _SCALARS | st.lists(_SCALARS, max_size=3)
                             | st.dictionaries(_TEXT, _SCALARS, max_size=3), max_size=4)
 
 
-
-def reference_jsonable(value):
-    """`jsonable` as it was before it dispatched on type()."""
-    if isinstance(value, dict):
-        return {str(k): reference_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [reference_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(reference_jsonable(v) for v in value)
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    return str(value)
-
-
-class _Named:
-    def __str__(self):
-        return "named"
-
-
-_PAYLOAD_PARTS = st.recursive(
-    _SCALARS | st.binary(max_size=4) | st.just(_Named()) | st.frozensets(st.integers(), max_size=3)
-    | st.sets(_TEXT, max_size=3),
-    lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(_TEXT | st.integers() | st.booleans(), children, max_size=4)
-                      | st.dictionaries(_TEXT, children, max_size=3).map(OrderedDict)),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_PAYLOAD_PARTS)
-def test_jsonable_equals_its_reference(value):
-    assert repr(jsonable(value)) == repr(reference_jsonable(value))
 
 @settings(max_examples=100, deadline=None)
 @given(kind=_TEXT, subject=_PAYLOADS, evidence=_PAYLOADS)

@@ -12,10 +12,18 @@ from click.testing import CliRunner
 import phantomscan
 from phantomscan import SCHEMA
 from phantomscan.cli import main
-from phantomscan.findings import Finding, from_txlog, jsonable, make_finding
+from phantomscan.findings import (Finding, from_bytecode, from_source, from_txlog,
+                                  make_finding)
 from phantomscan.report import merge
 from phantomscan.resources import fixture_path
-from test_taint import callers, padded_chain
+from test_acceptance import _synthetic_corpus
+from test_taint import FIXTURES as HEX_FIXTURES
+from test_taint import callers, icfg_for, padded_chain
+
+from phantomscan.minisol import load
+from phantomscan.symexec import analyze_source
+from phantomscan.taint import detect
+from phantomscan.txscan import load_rules_file, read_records_file, scan_records
 
 FIX = {name: str(fixture_path(name)) for name in (
     "counterfeit.hex", "checked_call.hex", "counterfeit.msol",
@@ -42,14 +50,39 @@ def test_finding_id_depends_on_content_only():
     assert d.id == a.id
 
 
-def test_jsonable_coercions():
-    assert jsonable({"b": b"\x01\xff", "t": (1, 2), "s": frozenset({"y", "x"})}) == {
-        "b": "0x01ff",
-        "t": [1, 2],
-        "s": ["x", "y"],
-    }
-    assert jsonable(True) is True
-    assert jsonable(None) is None
+def _findings_of_every_layer():
+    """Every finding of every layer on the bundled fixtures and a 1k-record c10 corpus."""
+    for name in HEX_FIXTURES:
+        icfg, sigdb = icfg_for(name)
+        for strict in (False, True):
+            yield from (from_bytecode(f, origin=name) for f in detect(icfg, sigdb, strict))
+    for name in ("counterfeit", "disjoint", "inconsistent", "inconsistent_safe", "relay"):
+        contract = load(fixture_path(name + ".msol").read_text())
+        yield from (from_source(f, origin=name) for f in analyze_source(contract))
+    bridge = load_rules_file(fixture_path("bridge_rules.yaml"))
+    rulesets = (None, bridge, load_rules_file(fixture_path("bridge_rules_strict.yaml")))
+    corpora = [(read_records_file(fixture_path(corpus)), rules)
+               for corpus in ("bridge_edge_logs.jsonl", "bridge_logs.jsonl",
+                              "spoof3_approved_logs.jsonl", "spoof3_logs.jsonl",
+                              "spoof_approved_logs.jsonl", "spoof_logs.jsonl")
+               for rules in rulesets]
+    corpora.append((_synthetic_corpus(1000), bridge))
+    for records, rules in corpora:
+        yield from map(from_txlog, scan_records(records, rules)[0])
+
+
+def test_every_layer_hands_over_plain_json():
+    layers = set()
+    for f in _findings_of_every_layer():
+        layers.add(f.layer)
+        assert f.subject == json.loads(json.dumps(f.subject)), f
+        assert f.evidence == json.loads(json.dumps(f.evidence)), f
+    assert layers == {"bytecode", "source", "logs"}
+
+
+def test_make_finding_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        make_finding("logs", "K", "POTENTIAL", {"s": 1}, {"e": {1, 2}})
 
 
 def _src(topic, origin="counterfeit.msol", confidence="CONFIRMED", kind="EVENT_COUNTERFEITING"):

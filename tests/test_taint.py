@@ -278,6 +278,10 @@ class TestDetection:
         findings = detect(icfg, sigdb=sigdb)
         assert findings
         assert all(f.confidence == "INCOMPLETE" for f in findings)
+        # the structural rule reads no path, so a spent path budget leaves it settled
+        strict = [f for f in detect(icfg, sigdb=sigdb, strict_eq2=True)
+                  if f.condition == "STRICT_STRUCTURAL"]
+        assert [(f.confidence, f.paths) for f in strict] == [("POTENTIAL", ())]
 
 
 class TestStrictMode:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reference_records import reference_parse_record
 
 from phantomscan._keccak import event_topic
+from phantomscan.findings import from_txlog
 from phantomscan.resources import fixture_path
 from phantomscan.txscan import (
     DecodeError,
@@ -662,12 +663,12 @@ def test_findings_serialize_to_json():
     findings, _ = scan_records(
         read_records_file(fixture_path("bridge_logs.jsonl")), bridge_rules()
     )
-    blob = json.dumps([f.to_json() for f in findings], sort_keys=True)
-    again = json.dumps([f.to_json() for f in findings], sort_keys=True)
+    blob = json.dumps([from_txlog(f).to_json() for f in findings], sort_keys=True)
+    again = json.dumps([from_txlog(f).to_json() for f in findings], sort_keys=True)
     assert blob == again
     parsed = json.loads(blob)
     assert parsed[0]["kind"] == "BLENDED_EVENT"
-    assert parsed[1]["check"] == "emitter-authenticity"
+    assert parsed[1]["evidence"]["check"] == "emitter-authenticity"
 
 
 def test_decode_event_against_rule_params():

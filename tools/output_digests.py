@@ -7,7 +7,11 @@ fixtures, on the acceptance suite's c10 log corpus (50,000 records,
 seed 424242), on a few malformed sources, which pin the syntax
 errors' text and exit code, and on a few small log corpora (one valid in
 mixed case, the others each malformed in one way), which pin the record
-parser's errors the same way.  It prints one line per invocation:
+parser's errors the same way.  Last come the bytecode and source
+analyses, `--json`, of every generated contract in the benchmark's
+seed-7 draws (`perfbench/gen_contracts.py`, fixtures left out), each
+written under its own generated file name.  It prints one line per
+invocation:
 
     <sha256 of stdout, NUL, stderr> <exit code> <invocation>
 
@@ -42,6 +46,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 C10_SEED = 424242
 C10_RECORDS = 50_000
+DRAW_SEED = 7
 
 HEX = ("checked_call", "counterfeit", "emit_helper", "inconsistent",
        "inconsistent_safe", "nocheck_call")
@@ -200,8 +205,18 @@ def c10_rows(count: int, keccak256) -> list[dict]:
     return rows
 
 
-def invocations() -> list[list[str]]:
-    """Every subcommand over the fixtures, as argument lists relative to the work directory."""
+def drawn_contracts() -> dict[str, str]:
+    """The generated contracts of the benchmark's bytecode and source draws, by file name."""
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from gen_contracts import bytecode_draw, source_draw
+
+    drawn = bytecode_draw(DRAW_SEED) + source_draw(DRAW_SEED)
+    return {c.name: c.text for c in sorted(drawn, key=lambda c: c.name) if c.family != "fixture"}
+
+
+def invocations(drawn=()) -> list[list[str]]:
+    """Every subcommand over the fixtures, then the analyses of the `drawn` contract
+    files, as argument lists relative to the work directory."""
     runs: list[list[str]] = []
     for name in HEX:
         hex_file = f"{name}.hex"
@@ -248,6 +263,12 @@ def invocations() -> list[list[str]]:
              ["scan-logs", "mixed_case.jsonl", "--rules", "bridge_rules.yaml", "--json"]]
     for name in LOG_CASES:
         runs.append(["scan-logs", name])
+    for name in drawn:
+        if name.endswith(".hex"):
+            runs += [["analyze-bytecode", name, "--sigdb", "sigdb.txt", "--json"],
+                     ["analyze-bytecode", name, "--sigdb", "sigdb.txt", "--strict-eq2", "--json"]]
+        else:
+            runs.append(["analyze-source", name, "--json"])
     return runs
 
 
@@ -259,6 +280,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(src))
     from phantomscan._keccak import keccak256
+    drawn = drawn_contracts()
 
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory(prefix="phantomscan-digests-") as work:
@@ -267,9 +289,9 @@ def main(argv: list[str]) -> int:
         with open(Path(work) / "c10.jsonl", "w", encoding="utf-8") as fh:
             for row in c10_rows(C10_RECORDS, keccak256):
                 fh.write(json.dumps(row) + "\n")
-        for name, text in {**LEXER_CASES, **LOG_CASES}.items():
+        for name, text in {**LEXER_CASES, **LOG_CASES, **drawn}.items():
             (Path(work) / name).write_text(text, encoding="utf-8")
-        for args in invocations():
+        for args in invocations(drawn):
             proc = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args],
                                   cwd=work, env=env, capture_output=True, check=False)
             output = proc.stdout + b"\0" + proc.stderr
