@@ -1,7 +1,7 @@
-"""EVM opcode table, pinned to the Shanghai instruction set (PUSH0 included).
+"""EVM opcode table, pinned to the Cancun instruction set: Shanghai (PUSH0
+included) plus TLOAD/TSTORE, MCOPY, BLOBHASH and BLOBBASEFEE.
 
-Later fork additions (TLOAD/TSTORE/MCOPY/BLOBHASH/...) intentionally decode
-as INVALID so analysis results do not silently change meaning across forks.
+A byte with no entry decodes as INVALID, which ends its block.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ def _table() -> dict[int, OpInfo]:
         0x46: OpInfo("CHAINID", 0, 0, 1),
         0x47: OpInfo("SELFBALANCE", 0, 0, 1),
         0x48: OpInfo("BASEFEE", 0, 0, 1),
+        0x49: OpInfo("BLOBHASH", 0, 1, 1),
+        0x4A: OpInfo("BLOBBASEFEE", 0, 0, 1),
         0x50: OpInfo("POP", 0, 1, 0),
         0x51: OpInfo("MLOAD", 0, 1, 1),
         0x52: OpInfo("MSTORE", 0, 2, 0),
@@ -82,6 +84,9 @@ def _table() -> dict[int, OpInfo]:
         0x59: OpInfo("MSIZE", 0, 0, 1),
         0x5A: OpInfo("GAS", 0, 0, 1),
         0x5B: OpInfo("JUMPDEST", 0, 0, 0),
+        0x5C: OpInfo("TLOAD", 0, 1, 1),
+        0x5D: OpInfo("TSTORE", 0, 2, 0),
+        0x5E: OpInfo("MCOPY", 0, 3, 0),
         0x5F: OpInfo("PUSH0", 0, 0, 1),
         0xF0: OpInfo("CREATE", 0, 3, 1),
         0xF1: OpInfo("CALL", 0, 7, 1),

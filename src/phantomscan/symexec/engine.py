@@ -6,7 +6,8 @@ path carries the conjunction of branch conditions and require guards
 that let execution reach its end, every event emission with fully
 evaluated arguments, and every storage write.  `require` failures and
 `revert` terminate a path without recording its emissions, since a
-reverted transaction publishes no logs.
+reverted transaction publishes no logs.  The counterfeit check solves
+first the part of a pair's query that the emitted arguments reach.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .._keccak import event_topic
 from ..minisol import ast
-from .solver import SAT, solve
+from .solver import DEFAULT_NODE_BUDGET, SAT, UNSAT, solve
 from .values import (
     ARITH_OPS,
     BinOp,
@@ -29,6 +30,7 @@ from .values import (
     SymValue,
     ValueSym,
     arith,
+    atoms,
     evaluate,
     input_atoms,
     is_formula,
@@ -348,32 +350,60 @@ def check_counterfeit_pair(contract: ast.Contract,
     return _counterfeit_pairs(contract, path_sets, _Topics())
 
 
+def _arg_slice(path: Path, emit: EmitRecord) -> tuple[SymValue, ...]:
+    """The path's conjuncts linked to the emitted arguments through shared
+    atoms, closed transitively, and those with no atom, in path order."""
+    cs = path.conjuncts
+    reach = set().union(*map(atoms, emit.args))
+    rest = {i for i, c in enumerate(cs) if atoms(c)}  # not linked yet
+    while linked := {i for i in rest if not reach.isdisjoint(atoms(cs[i]))}:
+        rest -= linked
+        reach.update(*(atoms(cs[i]) for i in linked))
+    return tuple(c for i, c in enumerate(cs) if i not in rest)
+
+
+def _pair_query(c1, a1, c2, a2) -> list[SymValue]:
+    """Conjuncts `c1` and `c2` renamed apart, and arguments `a1` equal `a2`."""
+    return [rename(c, "@1") for c in c1] + [rename(c, "@2") for c in c2] + \
+        [BinOp("==", rename(x, "@1"), rename(y, "@2")) for x, y in zip(a1, a2)]
+
+
 def _counterfeit_pairs(contract: ast.Contract, path_sets: list[PathSet],
                        topics: _Topics) -> list[SourceFinding]:
-    emitters: dict[str, dict[str, list[tuple[Path, EmitRecord]]]] = {}
+    """For each event and pair of entries, the first (path, path) pair in
+    product order whose whole query is SAT gives the witness.  The sides
+    are renamed apart, so a pair's core (both argument slices and the
+    couplings) shares no atom with the rest of its query, and an UNSAT
+    core rules the pair out.  A core is solved once per call, within a
+    sixteenth of the node budget, where it is less than the whole query
+    and one of its sides recurs."""
+    emitters: dict[str, dict[str, list[tuple[Path, EmitRecord, tuple]]]] = {}
+    uses: dict[tuple, int] = {}  # (argument slice, arguments) -> emissions
     truncated_fns: set[str] = set()
     for ps in path_sets:
         if ps.truncated:
             truncated_fns.add(ps.function)
         for path in ps.paths:
             for emit in path.emits:
-                emitters.setdefault(emit.event, {}) \
-                        .setdefault(ps.function, []).append((path, emit))
+                side = (_arg_slice(path, emit), emit.args)
+                uses[side] = uses.get(side, 0) + 1
+                emitters.setdefault(emit.event, {}).setdefault(ps.function, []) \
+                        .append((path, emit, side))
 
+    cores: dict[tuple, str] = {}  # (side1, side2) -> the core's verdict
     findings: list[SourceFinding] = []
     for event_name in sorted(emitters):
         by_fn = emitters[event_name]
         event = contract.event(event_name)
         for fn1, fn2 in itertools.combinations(sorted(by_fn), 2):
             hit = None
-            for (p1, e1), (p2, e2) in itertools.product(by_fn[fn1], by_fn[fn2]):
-                conjuncts = [rename(c, "@1") for c in p1.conjuncts]
-                conjuncts += [rename(c, "@2") for c in p2.conjuncts]
-                coupled = []
-                for a1, a2 in zip(e1.args, e2.args):
-                    coupled.append(BinOp("==", rename(a1, "@1"), rename(a2, "@2")))
-                conjuncts += coupled
-                verdict, model = solve(conjuncts)
+            for (p1, e1, k1), (p2, e2, k2) in itertools.product(by_fn[fn1], by_fn[fn2]):
+                if (k1, k2) not in cores and uses[k1] + uses[k2] > 2 and \
+                        len(k1[0]) + len(k2[0]) < len(p1.conjuncts) + len(p2.conjuncts):
+                    cores[k1, k2] = solve(_pair_query(*k1, *k2), DEFAULT_NODE_BUDGET // 16)[0]
+                if cores.get((k1, k2)) == UNSAT:
+                    continue
+                verdict, model = solve(_pair_query(p1.conjuncts, e1.args, p2.conjuncts, e2.args))
                 if verdict == SAT:
                     witness = {
                         p.name: evaluate(rename(a, "@1"), model)

@@ -25,9 +25,10 @@ values of its own (the per-procedure-instance view of IFDS).
 
 Memory is modelled only where LOG and KECCAK-style consumers need it:
 constant-offset MSTOREs are matched per 32-byte word within the whole
-unique-predecessor block chain leading to the consumer; anything else
-becomes an opaque region variable fed by every store in scope, which
-keeps the analysis conservative instead of silently dropping dataflow.
+unique-predecessor block chain leading to the consumer; anything else,
+an MCOPY in that chain included, becomes an opaque region variable fed
+by every store in scope, which keeps the analysis conservative instead
+of silently dropping dataflow.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
 
     off_var, size_var = instr.uses[0], instr.uses[1]
     chain = _block_chain(icfg, fn_name, block)
-    stores = _mstores_before(icfg, chain, idx)
+    stores, copied = _mstores_before(icfg, chain, idx)
 
     data_vars: list[str] = []
     synthetic: list[TacInstruction] = []
@@ -171,7 +172,7 @@ def _make_log_op(icfg: Icfg, fn_name: str, block: int, idx: int,
             (addr, v) for addr, v in stores
             if addr is not None and base <= addr < base + size and (addr - base) % 32 == 0
         )]
-        opaque = len(data_vars) < (size + 31) // 32
+        opaque = copied or len(data_vars) < (size + 31) // 32
     if opaque:
         region = f"mem{instr.pc:#x}"
         data_vars.append(region)
@@ -203,25 +204,28 @@ def _block_chain(icfg: Icfg, fn_name: str, block: int) -> list[int]:
     return chain
 
 
-def _mstores_before(icfg: Icfg, chain: list[int], idx: int) -> list[tuple[int | None, str]]:
+def _mstores_before(icfg: Icfg, chain: list[int], idx: int
+                    ) -> tuple[list[tuple[int | None, str]], bool]:
     """(constant address, value var) for stores preceding position idx,
-    nearest first.  Unknown addresses come through as None; a known
-    address comes through once."""
+    nearest first, and whether an MCOPY precedes it.  Unknown addresses
+    come through as None; a known address once, until an MCOPY is passed."""
     found: list[tuple[int | None, str]] = []
     seen_addrs: set[int] = set()
+    copied = False
     for pos, off in enumerate(chain):
         tac = icfg.lifted[off].tac
         upto = idx if pos == 0 else len(tac)
         for t in reversed(tac[:upto]):
+            copied = copied or t.op == "MCOPY"
             if t.op != "MSTORE":
                 continue
             addr = icfg.consts.get(t.uses[0])
-            if addr is not None and addr in seen_addrs:
+            if addr is not None and addr in seen_addrs and not copied:
                 continue  # a nearer store already covers this word
             if addr is not None:
                 seen_addrs.add(addr)
             found.append((addr, t.uses[1]))
-    return found
+    return found, copied
 
 
 # --------------------------------------------------------------------------

@@ -44,6 +44,19 @@ def test_unknown_bytes_decode_as_invalid():
         assert ins[0].opcode == int(raw, 16)
 
 
+@pytest.mark.parametrize("raw,mnemonic,pops,pushes", [
+    ("5c", "TLOAD", 1, 1),
+    ("5d", "TSTORE", 2, 0),
+    ("5e", "MCOPY", 3, 0),
+    ("49", "BLOBHASH", 1, 1),
+    ("4a", "BLOBBASEFEE", 0, 1),
+])
+def test_cancun_opcodes_decode(raw, mnemonic, pops, pushes):
+    ins, = disassemble(bytes.fromhex(raw))
+    assert (ins.mnemonic, ins.size) == (mnemonic, 1)
+    assert (OPCODES[int(raw, 16)].pops, OPCODES[int(raw, 16)].pushes) == (pops, pushes)
+
+
 def test_truncated_push_zero_padded():
     ins = disassemble(bytes.fromhex("61ff"))
     assert len(ins) == 1

@@ -1169,3 +1169,78 @@ class TestEachRunOfAHelperHasValuesOfItsOwn:
         reference = [(f.kind, f.condition, f.entries, f.confidence)
                      for f in reference_detect(icfg)[0]]
         assert reference == expected
+
+
+# --------------------------------------------------------------------------
+# the Cancun opcodes
+# --------------------------------------------------------------------------
+
+def word4_logged(before_log: list, before_store: list = ()) -> Bytecode:
+    """Calldata word 4 stored at memory word 0 and logged, with
+    `before_store` ahead of the store and `before_log` between the store
+    and the LOG, in one block."""
+    return one_function([*before_store, *WORD_4, *LOG_WORD0[:2], *before_log,
+                         *LOG_WORD0[2:], "STOP"])
+
+
+CANCUN = {
+    "TLOAD": [("PUSH1", 1), "TLOAD", "POP"],
+    "TSTORE": [*WORD_4, ("PUSH1", 1), "TSTORE"],
+    "MCOPY": [("PUSH1", 32), ("PUSH1", 64), ("PUSH1", 0), "MCOPY"],
+    "BLOBHASH": [("PUSH1", 0), "BLOBHASH", "POP"],
+    "BLOBBASEFEE": ["BLOBBASEFEE", "POP"],
+}
+
+
+class TestCancunOpcodes:
+    @pytest.mark.parametrize("name", sorted(CANCUN))
+    def test_an_opcode_before_the_log_keeps_the_finding(self, name):
+        # each one used to decode as INVALID, which ended the block before
+        # the LOG, so the site and its finding were gone
+        icfg = build_icfg(word4_logged(CANCUN[name]))
+        assert name in {t.op for b in icfg.lifted.values() for t in b.tac}
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in detect(icfg)] == UNANCHORED
+        assert same_as_reference(icfg)
+
+    def test_tstore_is_not_a_taint_related_sstore(self):
+        # transient storage is gone after the transaction, so it anchors nothing
+        stored = build_icfg(word4_logged([*WORD_4, ("PUSH1", 1), "SSTORE"]))
+        assert detect(stored) == []
+        icfg = build_icfg(word4_logged(CANCUN["TSTORE"]))
+        assert [(f.kind, f.condition) for f in detect(icfg)] == [UNANCHORED[0][:2]]
+
+    @pytest.mark.parametrize("store,flagged", [("SSTORE", False), ("TSTORE", True)])
+    def test_strict_mode_does_not_count_tstore_as_storage(self, store, flagged):
+        branch = [("PUSH2", 0x24), "CALLDATALOAD", ("pushl", "on"), "JUMPI",
+                  ("label", "on"), "JUMPDEST"]
+        icfg = build_icfg(word4_logged([("PUSH1", 7), ("PUSH1", 1), store], branch))
+        strict = detect(icfg, strict_eq2=True)
+        assert any(f.condition == "STRICT_STRUCTURAL" for f in strict) is flagged
+
+    @pytest.mark.parametrize("in_block", [True, False], ids=["same-block", "chain"])
+    def test_mcopy_makes_the_log_data_opaque(self, in_block):
+        # MCOPY moves memory that no store names, as a store at an unknown address
+        plain, = extract_log_ops(build_icfg(word4_logged([])))
+        assert not plain.synthetic
+        copy = CANCUN["MCOPY"] if in_block else [*CANCUN["MCOPY"], ("label", "next"), "JUMPDEST"]
+        icfg = build_icfg(word4_logged(copy))
+        op, = extract_log_ops(icfg)
+        region, = op.synthetic
+        assert op.data_vars == (*plain.data_vars, region.defs[0])
+        assert region.op == "MEMREGION" and len(region.uses) == 1
+        assert [(f.kind, f.condition) for f in detect(icfg)] == [UNANCHORED[0][:2]]
+
+    def test_a_store_after_mcopy_does_not_hide_the_copied_word(self):
+        # word 0 holds calldata when MCOPY copies it to word 1; a constant
+        # then overwrites word 0, and the LOG covers both words
+        icfg = build_icfg(one_function([
+            *WORD_4, ("PUSH1", 0), "MSTORE",
+            ("PUSH1", 32), ("PUSH1", 0), ("PUSH1", 32), "MCOPY",
+            ("PUSH1", 42), ("PUSH1", 0), "MSTORE",
+            ("PUSH32", topic("Paid(uint256)")), ("PUSH1", 64), ("PUSH1", 0), "LOG1", "STOP",
+        ]))
+        op, = extract_log_ops(icfg)
+        region, = op.synthetic
+        assert len(region.uses) == 2
+        assert [(f.kind, f.condition, f.entries, f.confidence) for f in detect(icfg)] == UNANCHORED
+        assert same_as_reference(icfg)
