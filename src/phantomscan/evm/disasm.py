@@ -11,19 +11,23 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .opcodes import OPCODES, OpInfo
+from .opcodes import BY_BYTE
 
-_UNKNOWN = OpInfo("INVALID", 0, 0, 0)
+_MNEMONIC = [info.mnemonic for info in BY_BYTE]
+_IMMEDIATE = [info.immediate_size for info in BY_BYTE]
 
 _HEX_RE = re.compile(r"^(0x)?[0-9a-fA-F]*$")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Instruction:
-    """One decoded instruction.
+    """One decoded instruction, a slotted record that nothing changes
+    once it is built.
 
-    ``opcode`` keeps the raw byte even for unknown opcodes so that
-    re-encoding a stream reproduces the original bytes.
+    ``opcode`` keeps the raw byte even for unknown opcodes (mnemonic
+    INVALID), so that re-encoding a stream reproduces the original
+    bytes.  ``operand`` is None except for PUSH1-PUSH32, whose immediate
+    it holds as far as the code has it.
     """
 
     offset: int
@@ -83,17 +87,16 @@ class Bytecode:
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode ``code`` into an instruction list covering every byte."""
     out: list[Instruction] = []
+    append = out.append
     offset = 0
     end = len(code)
     while offset < end:
         opcode = code[offset]
-        info = OPCODES.get(opcode, _UNKNOWN)
-        operand = None
-        if info.immediate_size:
-            # keep only the bytes that exist; push_value pads the rest
-            operand = code[offset + 1:offset + 1 + info.immediate_size]
-        out.append(Instruction(offset=offset, opcode=opcode, mnemonic=info.mnemonic, operand=operand))
-        offset += 1 + info.immediate_size
+        size = _IMMEDIATE[opcode]
+        # keep only the bytes that exist; push_value pads the rest
+        operand = code[offset + 1:offset + 1 + size] if size else None
+        append(Instruction(offset, opcode, _MNEMONIC[opcode], operand))
+        offset += 1 + size
     return out
 
 

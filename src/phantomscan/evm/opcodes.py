@@ -111,6 +111,9 @@ def _table() -> dict[int, OpInfo]:
 
 OPCODES: dict[int, OpInfo] = _table()
 
+# the entry of every byte, INVALID for a byte with none
+BY_BYTE: list[OpInfo] = [OPCODES.get(byte, OPCODES[0xFE]) for byte in range(256)]
+
 MNEMONIC_TO_OPCODE: dict[str, int] = {info.mnemonic: op for op, info in OPCODES.items()}
 
 # Instructions that end a basic block.

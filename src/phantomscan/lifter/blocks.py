@@ -62,37 +62,16 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
     A block starts at offset 0, at every JUMPDEST, and right after every
     terminator; it ends at the next terminator or leader.
     """
-    if not instructions:
-        return {}
-    leaders = {instructions[0].offset}
-    for idx, ins in enumerate(instructions):
-        if ins.mnemonic == "JUMPDEST":
-            leaders.add(ins.offset)
-        if ins.mnemonic in TERMINATORS and idx + 1 < len(instructions):
-            leaders.add(instructions[idx + 1].offset)
-
     blocks: dict[int, BasicBlock] = {}
-    current: list[Instruction] = []
+    block = None
     for ins in instructions:
-        if ins.offset in leaders and current:
-            blocks[current[0].offset] = BasicBlock(current[0].offset, current)
-            current = []
-        current.append(ins)
-    if current:
-        blocks[current[0].offset] = BasicBlock(current[0].offset, current)
-
-    ordered = sorted(blocks)
-    for i, off in enumerate(ordered):
-        block = blocks[off]
-        last = block.instructions[-1]
-        if last.mnemonic in TERMINATORS:
-            block.terminator = last.mnemonic
-            if last.mnemonic == "JUMPI" and i + 1 < len(ordered):
-                block.successors.append(ordered[i + 1])
-        else:
-            block.terminator = "FALLTHROUGH"
-            if i + 1 < len(ordered):
-                block.successors.append(ordered[i + 1])
+        if block is None or ins.mnemonic == "JUMPDEST" or block.terminator != "FALLTHROUGH":
+            if block is not None and block.terminator in ("FALLTHROUGH", "JUMPI"):
+                block.successors.append(ins.offset)
+            block = blocks[ins.offset] = BasicBlock(ins.offset, [])
+        block.instructions.append(ins)
+        if ins.mnemonic in TERMINATORS:
+            block.terminator = ins.mnemonic
     return blocks
 
 

@@ -26,10 +26,12 @@ and call context it visits the block in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .. import jsonout
 from ..evm.disasm import Bytecode
+from ..evm.opcodes import EXTERNAL_CALLS
 from .blocks import BasicBlock, build_blocks, fold_constants, resolve_jumps
 from .tac import LiftedBlock, _VarSource, lift_block
 
@@ -143,6 +145,29 @@ class Icfg:
             for off in sorted(self.functions[callee].block_offsets):
                 for s in self.blocks[off].successors:
                     self._exits.setdefault((callee, s), []).append(off)
+
+    @cached_property
+    def value_keys(self) -> dict[str, tuple]:
+        """Variables defined by environment reads -> shared value keys, so
+        that reads of one fact (CALLDATALOAD of one constant offset,
+        CALLER, CALLVALUE, ORIGIN, ADDRESS) denote one value."""
+        keys: dict[str, tuple] = {}
+        for lb in self.lifted.values():
+            for t in lb.tac:
+                if t.op in ("CALLER", "CALLVALUE", "ORIGIN", "ADDRESS"):
+                    keys[t.defs[0]] = (t.op,)
+                elif t.op == "CALLDATALOAD" and t.uses[0] in self.consts:
+                    keys[t.defs[0]] = ("CALLDATALOAD", self.consts[t.uses[0]])
+        return keys
+
+    @cached_property
+    def env_keys(self) -> frozenset[tuple]:
+        return frozenset(self.value_keys.values())
+
+    @cached_property
+    def calls_out(self) -> bool:
+        """Whether any block makes an external call."""
+        return any(t.op in EXTERNAL_CALLS for lb in self.lifted.values() for t in lb.tac)
 
     def edges_into(self, callee: str) -> tuple[CallEdge, ...]:
         return tuple(self._into.get(callee, ()))

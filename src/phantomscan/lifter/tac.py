@@ -3,9 +3,10 @@
 Each block is run over a symbolic stack of variable names.  PUSH
 becomes a CONST definition, DUP/SWAP/POP only rearrange the stack and
 emit nothing, and every other opcode becomes one TAC instruction whose
-uses are the popped variables.  Values the block takes from its entry
-stack appear as placeholder variables ``S<k>@<block>``; the ICFG layer
-later stitches those to predecessor exit slots.
+uses are the popped variables, top of stack first.  Values the block
+takes from its entry stack appear as placeholder variables
+``S<k>@<block>``, slot 0 being the entry top; the ICFG layer later
+stitches those to predecessor exit slots.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..evm.disasm import Instruction
-from ..evm.opcodes import OPCODES
+from ..evm.opcodes import BY_BYTE
 from .blocks import BasicBlock
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TacInstruction:
+    """A slotted record that nothing changes once it is built."""
+
     pc: int
     op: str
     defs: tuple[str, ...] = ()
@@ -47,14 +49,11 @@ class LiftedBlock:
     exit_stack: list[str] = field(default_factory=list)  # top first
     extern_consumed: int = 0
 
-    def extern_var(self, k: int) -> str:
-        return extern_var(self.offset, k)
-
     def exit_var(self, k: int) -> str:
         """Variable occupying exit slot ``k``; passthrough slots map to entry slots."""
         if k < len(self.exit_stack):
             return self.exit_stack[k]
-        return self.extern_var(k - len(self.exit_stack) + self.extern_consumed)
+        return extern_var(self.offset, k - len(self.exit_stack) + self.extern_consumed)
 
     def entry_slot(self, var: str) -> int | None:
         """``k`` if ``var`` is this block's entry-stack slot ``k``, else None."""
@@ -70,57 +69,53 @@ class _VarSource:
     def __init__(self, start: int = 0) -> None:
         self.counter = start
 
-    def fresh(self) -> str:
-        name = f"V{self.counter}"
-        self.counter += 1
-        return name
+
+# per byte: (mnemonic without its number, mnemonic, pops, pushes); a DUPn
+# needs n slots and a SWAPn n + 1, which are their pops
+_LIFT = [(info.mnemonic.rstrip("0123456789"), info.mnemonic, info.pops, info.pushes)
+         for info in BY_BYTE]
 
 
 def lift_block(block: BasicBlock, vars_: Optional[_VarSource] = None) -> LiftedBlock:
     """Destackify one block. ``vars_`` supplies globally fresh names."""
     vars_ = vars_ or _VarSource()
-    stack: list[str] = []  # top first
+    counter = vars_.counter
+    offset = block.offset
+    stack: list[str] = []  # top last
     consumed = 0
     tac: list[TacInstruction] = []
-
-    def ensure(depth: int) -> None:
-        nonlocal consumed
-        while len(stack) < depth:
-            stack.append(extern_var(block.offset, consumed))
-            consumed += 1
-
-    def pop() -> str:
-        ensure(1)
-        return stack.pop(0)
+    emit = tac.append
 
     for ins in block.instructions:
-        name = ins.mnemonic
-        if name == "PUSH0" or ins.operand is not None:
-            v = vars_.fresh()
-            value = 0 if name == "PUSH0" else ins.push_value
-            tac.append(TacInstruction(pc=ins.offset, op="CONST", defs=(v,), const=value))
-            stack.insert(0, v)
-        elif name.startswith("DUP"):
-            n = int(name[3:])
-            ensure(n)
-            stack.insert(0, stack[n - 1])
-        elif name.startswith("SWAP"):
-            n = int(name[4:])
-            ensure(n + 1)
-            stack[0], stack[n] = stack[n], stack[0]
-        elif name == "POP":
-            pop()
-        elif name == "JUMPDEST":
+        kind, name, pops, pushes = _LIFT[ins.opcode]
+        if kind == "PUSH":
+            v = f"V{counter}"
+            counter += 1
+            emit(TacInstruction(ins.offset, "CONST", (v,), (), ins.push_value or 0))  # PUSH0: None
+            stack.append(v)
             continue
-        else:
-            info = OPCODES.get(ins.opcode)
-            pops = info.pops if info else 0
-            pushes = info.pushes if info else 0
-            uses = tuple(pop() for _ in range(pops))
-            defs = tuple(vars_.fresh() for _ in range(pushes))
-            tac.append(TacInstruction(pc=ins.offset, op=name, defs=defs, uses=uses))
-            for d in reversed(defs):
-                stack.insert(0, d)
+        if len(stack) < pops:
+            # draw the entry slots the stack lacks, slot 0 right under it
+            k = consumed + pops - len(stack)
+            stack[:0] = [extern_var(offset, j) for j in range(k - 1, consumed - 1, -1)]
+            consumed = k
+        if kind == "DUP":
+            stack.append(stack[-pops])
+        elif kind == "SWAP":
+            stack[-1], stack[-pops] = stack[-pops], stack[-1]
+        elif kind == "POP":
+            stack.pop()
+        elif kind != "JUMPDEST":
+            uses: tuple[str, ...] = ()
+            if pops:
+                uses = tuple(stack[:-pops - 1:-1])
+                del stack[-pops:]
+            defs: tuple[str, ...] = ()
+            if pushes:  # one value: only DUP and SWAP leave more
+                defs = (f"V{counter}",)
+                counter += 1
+                stack.append(defs[0])
+            emit(TacInstruction(ins.offset, name, defs, uses))
 
-    return LiftedBlock(offset=block.offset, tac=tac, exit_stack=stack, extern_consumed=consumed)
-
+    vars_.counter = counter
+    return LiftedBlock(offset=offset, tac=tac, exit_stack=stack[::-1], extern_consumed=consumed)

@@ -326,15 +326,19 @@ def solve(conjuncts: list[SymValue],
             return UNSAT, None
     atoms_ = [a for a in atoms_ if a.coeffs]
 
-    # same linear form under incompatible relations: contradictory
-    # without any search (catches x == y alongside x != y over domains
-    # far too large to enumerate)
-    kinds: dict[tuple, set[str]] = {}
+    # an equality fixes its linear form, up to a factor, to one value, and
+    # every atom over that form must hold there: contradictory without any
+    # search (catches x == y alongside x != y, x > y or 2x == 2y + 2, over
+    # domains far too large to enumerate)
+    forms: dict[tuple, list[tuple[int, _Atom]]] = {}
     for a in atoms_:
-        kinds.setdefault((a.coeffs, a.const), set()).add(a.op)
-    for ops in kinds.values():
-        if ("eq" in ops and "ne" in ops) or ("eq" in ops and "lt" in ops):
-            return UNSAT, None
+        g = reduce(gcd, (c for _, c in a.coeffs)) * (1 if a.coeffs[0][1] > 0 else -1)
+        forms.setdefault(tuple((s, c // g) for s, c in a.coeffs), []).append((g, a))
+    for group in forms.values():
+        for g, a in group:
+            if a.op == "eq" and (a.const % g or not all(
+                    _Atom((), h * (-a.const // g) + b.const, b.op).holds({}) for h, b in group)):
+                return UNSAT, None
 
     bounds: dict[SymValue, tuple[int, int]] = {}
     for a in atoms_:

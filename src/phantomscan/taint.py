@@ -26,9 +26,10 @@ values of its own (the per-procedure-instance view of IFDS).
 Memory is modelled only where LOG and KECCAK-style consumers need it:
 constant-offset MSTOREs are matched per 32-byte word within the whole
 unique-predecessor block chain leading to the consumer; anything else,
-an MCOPY in that chain included, becomes an opaque region variable fed
-by every store in scope, which keeps the analysis conservative instead
-of silently dropping dataflow.
+an MCOPY in that chain or a store at an unknown address nearer the
+consumer than a logged word's store included, becomes an opaque region
+variable fed by every store in scope, which keeps the analysis
+conservative instead of silently dropping dataflow.
 """
 
 from __future__ import annotations
@@ -109,21 +110,6 @@ class BytecodeFinding:
 # --------------------------------------------------------------------------
 # value keys
 # --------------------------------------------------------------------------
-
-def build_value_keys(icfg: Icfg) -> dict[str, tuple]:
-    """Map variables defined by environment reads to shared value keys."""
-    consts = icfg.consts
-    keys: dict[str, tuple] = {}
-    for lb in icfg.lifted.values():
-        for t in lb.tac:
-            if not t.defs:
-                continue
-            if t.op in ("CALLER", "CALLVALUE", "ORIGIN", "ADDRESS"):
-                keys[t.defs[0]] = (t.op,)
-            elif t.op == "CALLDATALOAD" and t.uses and t.uses[0] in consts:
-                keys[t.defs[0]] = ("CALLDATALOAD", consts[t.uses[0]])
-    return keys
-
 
 def _key(var: str, value_keys: dict[str, tuple], scope: int = 0) -> tuple:
     return value_keys.get(var) or ("v", var, scope)
@@ -208,10 +194,12 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
                     ) -> tuple[list[tuple[int | None, str]], bool]:
     """(constant address, value var) for stores preceding position idx,
     nearest first, and whether an MCOPY precedes it.  Unknown addresses
-    come through as None; a known address once, until an MCOPY is passed."""
+    come through as None, and so does a store that one at an unknown
+    address follows, which may have overwritten its word; a known
+    address once, until an MCOPY is passed."""
     found: list[tuple[int | None, str]] = []
     seen_addrs: set[int] = set()
-    copied = False
+    copied = blurred = False
     for pos, off in enumerate(chain):
         tac = icfg.lifted[off].tac
         upto = idx if pos == 0 else len(tac)
@@ -224,7 +212,8 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
                 continue  # a nearer store already covers this word
             if addr is not None:
                 seen_addrs.add(addr)
-            found.append((addr, t.uses[1]))
+            blurred = blurred or addr is None
+            found.append((None if blurred else addr, t.uses[1]))
     return found, copied
 
 
@@ -338,8 +327,7 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
     before; this one rule keeps loops exact, as a path back into a loop
     block tries again the edge it left it by.  Paths share their common
     part through (segment, rest) links."""
-    value_keys = build_value_keys(icfg)
-    env = set(value_keys.values())
+    value_keys, env = icfg.value_keys, icfg.env_keys
     tac = icfg.lifted[logop.block].tac
     log_idx = next(i for i, t in enumerate(tac) if t.pc == logop.pc and t.op.startswith("LOG"))
     prefix: list[TacInstruction] = [
@@ -349,7 +337,7 @@ def backward_slice(icfg: Icfg, logop: LogOp) -> tuple[list[PathSlice], bool]:
         *reversed(tac[:log_idx]),
     ]
     walk = _Walk(value_keys, logop.seed_vars)
-    if not any(t.op in EXTERNAL_CALLS for lb in icfg.lifted.values() for t in lb.tac):
+    if not icfg.calls_out:
         walk.union({CALLS, CHECKS})  # no call to check: the verdict is settled
     walk.step(prefix)
 

@@ -31,7 +31,6 @@ from phantomscan.taint import (
     _event_label,
     _key,
     _path_summary,
-    build_value_keys,
     extract_log_ops,
 )
 
@@ -44,7 +43,7 @@ def reference_slice(icfg, logop, max_paths=MAX_PATHS):
     then call edges.  A path's variables, and the seeds of its `logop`,
     are renamed by scope, and each SEGMENT carries its block's scope as
     `const`: scope 0 is the log site's function with no call context."""
-    value_keys = build_value_keys(icfg)
+    value_keys = icfg.value_keys
     scopes = {(logop.function, ()): 0}  # (function, call context) -> scope
 
     def name(var, scope):
@@ -207,7 +206,7 @@ def _anchored(path, taint, value_keys):
 def reference_detect(icfg, sigdb=None, max_paths=MAX_PATHS):
     """(sorted findings from the three path rules, each path judged alone;
     the topics whose log sites ran out of paths)."""
-    value_keys = build_value_keys(icfg)
+    value_keys = icfg.value_keys
     tainted_by_event, il_by_event, nocheck_by_event = {}, {}, {}
     incomplete = set()
     for logop in extract_log_ops(icfg):

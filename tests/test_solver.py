@@ -131,6 +131,27 @@ class TestHonestUnknown:
         verdict, _ = solve([BinOp("==", X, Y), BinOp("!=", X, Y)])
         assert verdict == UNSAT
 
+    @pytest.mark.parametrize("form", ["same-sign", "sign-flipped", "scaled", "odd",
+                                      "ne-sign-flipped", "greater"])
+    def test_an_equality_settles_atoms_over_its_linear_part(self, form):
+        # x1 + y1 == x2 fixes x1 + y1 - x2 to 0, which refutes each second
+        # atom; the search and interval propagation cannot refute them
+        # over uint256, so they used to end UNKNOWN, most after running
+        # out the node budget
+        x1, y1, x2 = (FreeVar(name=n, tag=t) for n, t in (("x", "@1"), ("y", "@1"), ("x", "@2")))
+        total, two = arith("+", x1, y1), lit(2)
+        second = {
+            "same-sign": BinOp("==", total, arith("+", x2, lit(1))),
+            "sign-flipped": BinOp("==", arith("+", x2, lit(1)), total),
+            "scaled": BinOp("==", arith("*", two, total), arith("*", two, arith("+", x2, lit(1)))),
+            "odd": BinOp("==", arith("*", two, total), arith("+", arith("*", two, x2), lit(1))),
+            "ne-sign-flipped": BinOp("!=", x2, total),
+            "greater": BinOp(">", total, x2),
+        }[form]
+        with _time_box(1.0):
+            verdict, _ = solve([BinOp("==", total, x2), second])
+        assert verdict == UNSAT
+
     def test_equality_over_huge_domain_finds_model(self):
         verdict, model = solve([BinOp("==", X, Y)])
         assert verdict == SAT

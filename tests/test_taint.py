@@ -17,7 +17,6 @@ from phantomscan.taint import (
     LogOp,
     PathSlice,
     backward_slice,
-    build_value_keys,
     detect,
     extract_log_ops,
     taint_analysis,
@@ -122,6 +121,19 @@ class TestLogOpExtraction:
         # the region is fed by the one store in scope
         assert len(op.synthetic[0].uses) == 1
 
+    @pytest.mark.parametrize("unknown_nearer", [True, False], ids=["nearer", "farther"])
+    def test_a_store_at_an_unknown_address_nearer_the_log_makes_it_opaque(self, unknown_nearer):
+        # MSTORE(CALLDATALOAD(4), CALLER) may overwrite the 42 at word 0;
+        # ahead of that store, the 42 overwrites whatever it wrote there
+        constant = [("PUSH1", 42), ("PUSH1", 0), "MSTORE"]
+        unknown = ["CALLER", ("PUSH1", 4), "CALLDATALOAD", "MSTORE"]
+        body = constant + unknown if unknown_nearer else unknown + constant
+        icfg = build_icfg(one_function([*body, *log1_of_word0("Paid(uint256)"), "STOP"]))
+        op, = extract_log_ops(icfg)
+        assert bool(op.synthetic) is unknown_nearer
+        assert [(f.kind, f.condition, f.entries, f.confidence)
+                for f in detect(icfg)] == (UNANCHORED if unknown_nearer else [])
+
 
 class TestBackwardSlice:
     def test_paths_match_oracle_on_all_fixtures(self):
@@ -175,7 +187,7 @@ class TestTaintPropagation:
         # the safe variant reloads the same argument slot three times;
         # its storage write must still count as related to the logged value
         icfg, _ = icfg_for("inconsistent_safe")
-        vk = build_value_keys(icfg)
+        vk = icfg.value_keys
         op, = extract_log_ops(icfg)
         slices, _ = backward_slice(icfg, op)
         assert slices
@@ -185,7 +197,7 @@ class TestTaintPropagation:
 
     def test_sources_report_calldata_slots(self):
         icfg, _ = icfg_for("counterfeit")
-        vk = build_value_keys(icfg)
+        vk = icfg.value_keys
         op = next(o for o in extract_log_ops(icfg) if o.function == "deposit")
         s, = backward_slice(icfg, op)[0]
         r = taint_analysis(s, vk)
@@ -194,7 +206,7 @@ class TestTaintPropagation:
 
     def test_untainted_when_nothing_flows_from_input(self):
         icfg, _ = icfg_for("nocheck_call")
-        vk = build_value_keys(icfg)
+        vk = icfg.value_keys
         op, = extract_log_ops(icfg)
         s, = backward_slice(icfg, op)[0]
         assert not taint_analysis(s, vk).tainted

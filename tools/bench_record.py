@@ -4,8 +4,8 @@
 
 Runs `perfbench/run.py` on each of its four workloads at seed 7 for
 10 s, once plain (the end-to-end metrics) and once traced (the per-layer
-spans and counters), and writes `BENCH_<PR>.json` at the root of the
-checkout, keys sorted:
+spans and counters), then the tier-1 tests, and writes `BENCH_<PR>.json`
+at the root of the checkout, keys sorted:
 
     commit     the checked-out commit
     dirty      whether the working tree differs from it
@@ -14,6 +14,10 @@ checkout, keys sorted:
                exactly when commit C holds the measured `src/`
     runs       workload -> {"plain": ..., "traced": ...}, each the last
                line of that run's output, parsed as JSON
+    tier1      the tier-1 run (`python -m pytest -q
+               --continue-on-collection-errors`, src/ on PYTHONPATH):
+               {"seconds": wall time, "passed": n, "failed": n}, where
+               failed counts pytest's failures and errors
     seed, seconds, src.lines (the lines of src/**/*.py)
 
 A run that exits non-zero is recorded as {"exit": code, "stderr": its
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +68,19 @@ def run(workload: str, trace: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def tier1() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{ROOT / 'src'}{os.pathsep + path if path else ''}"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=ROOT, capture_output=True, text=True, env=env)
+    seconds = time.perf_counter() - start
+    last = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", last[0])}
+    return {"seconds": round(seconds, 1), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -83,6 +102,7 @@ def main(argv: list[str]) -> int:
         record["runs"][workload] = {mode: run(workload, mode == "traced")
                                     for mode in ("plain", "traced")}
         print(f"{workload}: done", file=sys.stderr)
+    record["tier1"] = tier1()
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(out.name)
     return 0
