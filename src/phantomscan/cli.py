@@ -42,59 +42,60 @@ def analyze_source(contract):
     return analyze_source(contract)
 
 
-def _fail(origin: str, exc: Exception) -> None:
-    text = str(exc)
-    # some loaders already put the file name in the message; don't repeat it
-    name = Path(origin).name
-    if text.startswith(f"{name}: "):
-        text = text[len(name) + 2:]
-    click.echo(f"error: {origin}: {text}", err=True)
-    sys.exit(2)
-
-
-def _load_sigdb(path: str | None):
-    if path is None:
-        return None
+def _sigdb(path: str):
     from .lifter.functions import SigDb
-    try:
-        return SigDb.from_file(path)
-    except _INPUT_ERRORS as exc:
-        _fail(path, exc)
+    return SigDb.from_file(path)
 
 
-def _load_rules(path: str | None):
+def _rules(path: str):
+    from .txscan import load_rules_file
+    return load_rules_file(path)
+
+
+def _load(path: str | None, loader, *errors):
+    """`loader(path)`, or None when no path is given.  An input error, or
+    one of `errors`, exits 2 naming the file."""
     if path is None:
         return None
-    from .txscan import load_rules_file
     try:
-        return load_rules_file(path)
-    except _INPUT_ERRORS as exc:
-        _fail(path, exc)
-
-
-def _read_bytecode(path: str, strip: bool = True):
-    from .evm.disasm import Bytecode
-    try:
-        return Bytecode.from_hex_file(path, strip=strip)
-    except _INPUT_ERRORS as exc:
-        _fail(path, exc)
+        return loader(path)
+    except (*_INPUT_ERRORS, *errors) as exc:
+        # some loaders already put the file name in the message; don't repeat it
+        text = str(exc).removeprefix(f"{Path(path).name}: ")
+        click.echo(f"error: {path}: {text}", err=True)
+        sys.exit(2)
 
 
 def _read_source(path: str):
     from .minisol import ResolutionError, SyntaxError as SourceSyntaxError, load
-    try:
-        return load(Path(path).read_text(encoding="utf-8"))
-    except (*_INPUT_ERRORS, SourceSyntaxError, ResolutionError) as exc:
-        _fail(path, exc)
+    return _load(path, lambda p: load(Path(p).read_text(encoding="utf-8")),
+                 SourceSyntaxError, ResolutionError)
 
 
-def _scan(path: str, ruleset, spoofing: bool = True):
-    """The scanner's findings and caveats for one log corpus."""
+# One function per layer serves that layer's subcommand and `report`.  Each
+# returns the layer's findings in the order it finds them; `merge` orders a
+# report.
+
+def _bytecode_findings(path: str, db, strict_eq2: bool = False) -> list:
+    """The bytecode layer's findings on one hex file."""
+    from .evm.disasm import Bytecode
+    graph = build_icfg(_load(path, Bytecode.from_hex_file), db)
+    return [from_bytecode(f, origin=Path(path).name)
+            for f in detect(graph, db, strict_eq2=strict_eq2)]
+
+
+def _source_findings(path: str) -> list:
+    """The source layer's findings on one restricted-Solidity file."""
+    return [from_source(f, origin=Path(path).name) for f in analyze_source(_read_source(path))]
+
+
+def _log_findings(path: str, ruleset, spoofing: bool = True):
+    """The log layer's findings on one corpus, each wrapped as it is
+    consumed, and the scanner's caveats."""
     from .txscan import read_records_file, scan_records
-    try:
-        return scan_records(read_records_file(path), ruleset, spoofing=spoofing)
-    except _INPUT_ERRORS as exc:
-        _fail(path, exc)
+    raw, caveats = _load(path, lambda p: scan_records(read_records_file(p), ruleset,
+                                                      spoofing=spoofing))
+    return map(from_txlog, _consume(raw)), caveats
 
 
 def _consume(items: list):
@@ -173,7 +174,8 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
     """Disassemble runtime bytecode from a hex FILE."""
-    bc = _read_bytecode(file, strip=not keep_metadata)
+    from .evm.disasm import Bytecode
+    bc = _load(file, lambda p: Bytecode.from_hex_file(p, strip=not keep_metadata))
     if as_json:
         doc = {
             "schema": SCHEMA,
@@ -202,8 +204,9 @@ def disasm(file: str, keep_metadata: bool, as_json: bool) -> None:
 @click.option("--dot", "as_dot", is_flag=True, help="Emit Graphviz instead of JSON.")
 def icfg(file: str, sigdb: str | None, as_dot: bool) -> None:
     """Lift bytecode into functions and print the recovered graph."""
-    db = _load_sigdb(sigdb)
-    graph = build_icfg(_read_bytecode(file), db)
+    from .evm.disasm import Bytecode
+    db = _load(sigdb, _sigdb)
+    graph = build_icfg(_load(file, Bytecode.from_hex_file), db)
     click.echo(graph.to_dot() if as_dot else graph.to_json())
 
 
@@ -230,10 +233,7 @@ def parse(file: str, as_summary: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bool) -> None:
     """Taint-analyze every LOG site in compiled bytecode."""
-    db = _load_sigdb(sigdb)
-    graph = build_icfg(_read_bytecode(file), db)
-    raw = detect(graph, db, strict_eq2=strict_eq2)
-    _emit(merge(from_bytecode(f, origin=Path(file).name) for f in raw), as_json)
+    _emit(merge(_bytecode_findings(file, _load(sigdb, _sigdb), strict_eq2)), as_json)
 
 
 @main.command("analyze-source")
@@ -241,8 +241,7 @@ def analyze_bytecode(file: str, sigdb: str | None, strict_eq2: bool, as_json: bo
 @click.option("--json", "as_json", is_flag=True)
 def analyze_source_cmd(file: str, as_json: bool) -> None:
     """Symbolically execute a restricted-Solidity contract."""
-    raw = analyze_source(_read_source(file))
-    _emit(merge(from_source(f, origin=Path(file).name) for f in raw), as_json)
+    _emit(merge(_source_findings(file)), as_json)
 
 
 @main.command("scan-logs")
@@ -253,8 +252,7 @@ def analyze_source_cmd(file: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def scan_logs(corpus: str, rules: str | None, no_spoofing: bool, as_json: bool) -> None:
     """Scan a JSONL event-log corpus against rules and heuristics."""
-    raw, caveats = _scan(corpus, _load_rules(rules), spoofing=not no_spoofing)
-    _emit(merge(map(from_txlog, _consume(raw)), caveats), as_json)
+    _emit(merge(*_log_findings(corpus, _load(rules, _rules), not no_spoofing)), as_json)
 
 
 @main.command()
@@ -279,23 +277,21 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
     if not bytecode_files and not source_files and not log_files:
         click.echo("error: nothing to analyze; pass --bytecode, --source or --logs", err=True)
         sys.exit(2)
-    db = _load_sigdb(sigdb)
-    ruleset = _load_rules(rules)
+    db = _load(sigdb, _sigdb)
+    ruleset = _load(rules, _rules)
 
     findings = []
     caveats: list[str] = []
     for path in bytecode_files:
         _working_on(path)
-        for f in detect(build_icfg(_read_bytecode(path), db), db):
-            findings.append(from_bytecode(f, origin=Path(path).name))
+        findings += _bytecode_findings(path, db)
     for path in source_files:
         _working_on(path)
-        for f in analyze_source(_read_source(path)):
-            findings.append(from_source(f, origin=Path(path).name))
+        findings += _source_findings(path)
     for path in log_files:
         _working_on(path)
-        raw, cavs = _scan(path, ruleset)
-        findings.extend(map(from_txlog, _consume(raw)))
+        wrapped, cavs = _log_findings(path, ruleset)
+        findings.extend(wrapped)
         caveats.extend(cavs)
     _working_on(None)
 

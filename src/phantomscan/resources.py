@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from importlib import resources
 from pathlib import Path
 
-ENV_FIXTURE_ROOT = "PHANTOMSCAN_FIXTURES"
-
 
 def fixture_root() -> Path:
-    """Directory holding the bundled fixtures; overridable via the environment."""
-    override = os.environ.get(ENV_FIXTURE_ROOT)
-    if override:
-        return Path(override)
+    """Directory holding the bundled fixtures."""
     return Path(str(resources.files("phantomscan") / "fixtures"))
 
 

@@ -7,16 +7,13 @@ from .engine import (
     SourceFinding,
     WriteRecord,
     analyze_source,
-    check_counterfeit_pair,
-    check_logging_inconsistency,
     search_paths,
 )
 from .solver import SAT, UNKNOWN, UNSAT, export_smtlib, solve
 from . import values
 
 __all__ = [
-    "analyze_source", "check_counterfeit_pair", "check_logging_inconsistency",
-    "search_paths", "Path", "PathSet", "EmitRecord", "WriteRecord",
+    "analyze_source", "search_paths", "Path", "PathSet", "EmitRecord", "WriteRecord",
     "SourceFinding", "solve", "export_smtlib", "SAT", "UNSAT", "UNKNOWN",
     "values",
 ]

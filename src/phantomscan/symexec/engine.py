@@ -58,7 +58,6 @@ class WriteRecord:
 
 @dataclass
 class Path:
-    function: str
     conjuncts: tuple[SymValue, ...]
     emits: tuple[EmitRecord, ...]
     writes: tuple[WriteRecord, ...]
@@ -81,9 +80,6 @@ class SourceFinding:
     functions: tuple[str, ...]
     confidence: str  # CONFIRMED | INCOMPLETE
     detail: dict
-
-    def sort_key(self):
-        return (self.kind, self.event, self.functions)
 
 
 def _slot(var: str, key: SymValue | None) -> tuple:
@@ -258,7 +254,6 @@ def search_paths(contract: ast.Contract, fn_name: str) -> PathSet:
         if st.reverted:
             continue  # a reverted transaction publishes nothing
         paths.append(Path(
-            function=fn_name,
             conjuncts=tuple(st.conjuncts),
             emits=tuple(st.emits),
             writes=tuple(st.writes),
@@ -281,10 +276,6 @@ def _validated_atoms(path: Path) -> set[SymValue]:
     return out
 
 
-def _entry_path_sets(contract: ast.Contract) -> list[PathSet]:
-    return [search_paths(contract, f.name) for f in contract.functions if f.is_entry]
-
-
 class _Topics(dict):
     """Event signature -> topic hash, each hashed on first use.  One
     lives for one analysis, so no hash outlives the call that made it."""
@@ -294,19 +285,11 @@ class _Topics(dict):
         return topic
 
 
-def check_logging_inconsistency(contract: ast.Contract,
-                                path_sets: list[PathSet] | None = None
-                                ) -> list[SourceFinding]:
-    """Flag emissions carrying sender-controlled values that the path
-    neither constrains nor records in storage.  `path_sets` are the
-    entry functions' paths, searched here when not given."""
-    if path_sets is None:
-        path_sets = _entry_path_sets(contract)
-    return _inconsistent_logging(contract, path_sets, _Topics())
-
-
 def _inconsistent_logging(contract: ast.Contract, path_sets: list[PathSet],
                           topics: _Topics) -> list[SourceFinding]:
+    """Emissions carrying sender-controlled values that the path neither
+    constrains nor records in storage, one finding per entry, event and
+    set of unvalidated arguments, in the order their first path is found."""
     findings: dict[tuple, SourceFinding] = {}
     for ps in path_sets:
         for path in ps.paths:
@@ -336,18 +319,7 @@ def _inconsistent_logging(contract: ast.Contract, path_sets: list[PathSet],
                     confidence="INCOMPLETE" if ps.truncated else "CONFIRMED",
                     detail={"unvalidated": unvalidated, "paths": 1},
                 )
-    return sorted(findings.values(), key=SourceFinding.sort_key)
-
-
-def check_counterfeit_pair(contract: ast.Contract,
-                           path_sets: list[PathSet] | None = None
-                           ) -> list[SourceFinding]:
-    """Find two entry points that can emit byte-identical payloads of
-    the same event under compatible constraints.  `path_sets` are the
-    entry functions' paths, searched here when not given."""
-    if path_sets is None:
-        path_sets = _entry_path_sets(contract)
-    return _counterfeit_pairs(contract, path_sets, _Topics())
+    return list(findings.values())
 
 
 def _arg_slice(path: Path, emit: EmitRecord) -> tuple[SymValue, ...]:
@@ -370,7 +342,9 @@ def _pair_query(c1, a1, c2, a2) -> list[SymValue]:
 
 def _counterfeit_pairs(contract: ast.Contract, path_sets: list[PathSet],
                        topics: _Topics) -> list[SourceFinding]:
-    """For each event and pair of entries, the first (path, path) pair in
+    """Two entries that can emit byte-identical payloads of one event
+    under compatible constraints, by event in the order first emitted.
+    For each event and pair of entries, the first (path, path) pair in
     product order whose whole query is SAT gives the witness.  The sides
     are renamed apart, so a pair's core (both argument slices and the
     couplings) shares no atom with the rest of its query, and an UNSAT
@@ -392,8 +366,7 @@ def _counterfeit_pairs(contract: ast.Contract, path_sets: list[PathSet],
 
     cores: dict[tuple, str] = {}  # (side1, side2) -> the core's verdict
     findings: list[SourceFinding] = []
-    for event_name in sorted(emitters):
-        by_fn = emitters[event_name]
+    for event_name, by_fn in emitters.items():
         event = contract.event(event_name)
         for fn1, fn2 in itertools.combinations(sorted(by_fn), 2):
             hit = None
@@ -424,12 +397,15 @@ def _counterfeit_pairs(contract: ast.Contract, path_sets: list[PathSet],
                 confidence=confidence,
                 detail={"witness": hit},
             ))
-    return sorted(findings, key=SourceFinding.sort_key)
+    return findings
 
 
 def analyze_source(contract: ast.Contract) -> list[SourceFinding]:
-    path_sets = _entry_path_sets(contract)
+    """The source layer's findings on one contract: each entry's paths are
+    searched once, and both checks read them.  Counterfeit pairs come
+    first, then inconsistent logging, each in the order found;
+    `report.merge` orders a report."""
+    path_sets = [search_paths(contract, f.name) for f in contract.functions if f.is_entry]
     topics = _Topics()  # each event hashed at most once, whichever check finds it
-    findings = _counterfeit_pairs(contract, path_sets, topics)
-    findings += _inconsistent_logging(contract, path_sets, topics)
-    return sorted(findings, key=SourceFinding.sort_key)
+    return (_counterfeit_pairs(contract, path_sets, topics)
+            + _inconsistent_logging(contract, path_sets, topics))

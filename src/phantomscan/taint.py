@@ -26,10 +26,10 @@ values of its own (the per-procedure-instance view of IFDS).
 Memory is modelled only where LOG and KECCAK-style consumers need it:
 constant-offset MSTOREs are matched per 32-byte word within the whole
 unique-predecessor block chain leading to the consumer; anything else,
-an MCOPY in that chain or a store at an unknown address nearer the
-consumer than a logged word's store included, becomes an opaque region
-variable fed by every store in scope, which keeps the analysis
-conservative instead of silently dropping dataflow.
+an MCOPY in that chain or a store at an unknown address (an MSTORE8
+counts as one) nearer the consumer than a logged word's store included,
+becomes an opaque region variable fed by every store in scope, which
+keeps the analysis conservative instead of silently dropping dataflow.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class BytecodeFinding:
     confidence: str  # POTENTIAL | INCOMPLETE
     entries: tuple[str, ...] = ()
     paths: tuple[str, ...] = ()
-
-    def sort_key(self):
-        return (self.kind, self.condition, self.topic0 or 0, self.entries)
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +193,8 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
     nearest first, and whether an MCOPY precedes it.  Unknown addresses
     come through as None, and so does a store that one at an unknown
     address follows, which may have overwritten its word; a known
-    address once, until an MCOPY is passed."""
+    address once, until an MCOPY is passed.  An MSTORE8 writes one byte
+    of a word, so it counts as a store at an unknown address."""
     found: list[tuple[int | None, str]] = []
     seen_addrs: set[int] = set()
     copied = blurred = False
@@ -205,9 +203,9 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
         upto = idx if pos == 0 else len(tac)
         for t in reversed(tac[:upto]):
             copied = copied or t.op == "MCOPY"
-            if t.op != "MSTORE":
+            if t.op not in ("MSTORE", "MSTORE8"):
                 continue
-            addr = icfg.consts.get(t.uses[0])
+            addr = icfg.consts.get(t.uses[0]) if t.op == "MSTORE" else None
             if addr is not None and addr in seen_addrs and not copied:
                 continue  # a nearer store already covers this word
             if addr is not None:
@@ -492,10 +490,12 @@ def _path_summary(slice_: PathSlice) -> str:
 
 
 def detect(icfg: Icfg, sigdb=None, strict_eq2: bool = False) -> list[BytecodeFinding]:
-    """Run the full bytecode-level analysis and return sorted findings.
-    Under `strict_eq2` the literal per-function rule, STRICT_STRUCTURAL
-    (an emitting function with no conditional jump at all, or touching
-    no storage at all), replaces NO_TAINT_RELATED_SSTORE."""
+    """Run the full bytecode-level analysis.  Under `strict_eq2` the literal
+    per-function rule, STRICT_STRUCTURAL (an emitting function with no
+    conditional jump at all, or touching no storage at all), replaces
+    NO_TAINT_RELATED_SSTORE.  Findings come in the order found: the
+    STRICT_STRUCTURAL ones by log site, then one per (kind, condition,
+    event) in the order of its first path."""
     logops = extract_log_ops(icfg)
     groups: dict[tuple, list[PathSlice]] = {}  # (kind, condition, topic0) -> its paths
     incomplete_events: set = set()
@@ -544,5 +544,4 @@ def detect(icfg: Icfg, sigdb=None, strict_eq2: bool = False) -> list[BytecodeFin
             if len(entries) < 2:
                 continue
         findings.append(finding(kind, condition, topic0, entries, slices))
-    # stable: findings that tie on the sort key keep the order of their first log site
-    return sorted(findings, key=BytecodeFinding.sort_key)
+    return findings

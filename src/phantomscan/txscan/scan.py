@@ -63,10 +63,6 @@ class TxFinding:
     confidence: str
     detail: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def sort_key(self):
-        return (self.block_number, self.tx_hash, self.log_index, self.kind, self.check or "")
-
 
 def _finding(record: LogRecord, *, kind: str, check: str | None, project: str | None,
              event: str | None, confidence: str, detail: dict) -> TxFinding:
@@ -345,11 +341,11 @@ def scan_records(
     ruleset: Ruleset | None = None,
     spoofing: bool = True,
 ) -> tuple[list[TxFinding], list[str]]:
-    """Scan a full record stream.  Returns sorted findings and caveats."""
+    """Scan a full record stream.  Returns the findings, in the order the
+    scanner emits them, and the caveats."""
     scanner = Scanner(ruleset, spoofing=spoofing)
     findings: list[TxFinding] = []
     for record in records:
         findings.extend(scanner.feed(record))
     findings.extend(scanner.finish())
-    findings.sort(key=lambda f: f.sort_key)
     return findings, list(scanner.caveats)

@@ -8,14 +8,14 @@ partner path.
 
 import itertools
 
-from phantomscan.symexec.engine import SourceFinding, _entry_path_sets, _Topics
+from phantomscan.symexec.engine import SourceFinding, _Topics, search_paths
 from phantomscan.symexec.solver import SAT, solve
 from phantomscan.symexec.values import BinOp, evaluate, rename
 
 
-def reference_counterfeit_pairs(contract, path_sets=None) -> list[SourceFinding]:
-    if path_sets is None:
-        path_sets = _entry_path_sets(contract)
+def reference_counterfeit_pairs(contract) -> list[SourceFinding]:
+    """The pairs by event, in name order, then by pair of entries."""
+    path_sets = [search_paths(contract, f.name) for f in contract.functions if f.is_entry]
     topics = _Topics()
     emitters = {}
     truncated_fns = set()
@@ -56,4 +56,4 @@ def reference_counterfeit_pairs(contract, path_sets=None) -> list[SourceFinding]
                 confidence=confidence,
                 detail={"witness": hit},
             ))
-    return sorted(findings, key=SourceFinding.sort_key)
+    return findings

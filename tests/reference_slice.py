@@ -204,8 +204,8 @@ def _anchored(path, taint, value_keys):
 
 
 def reference_detect(icfg, sigdb=None, max_paths=MAX_PATHS):
-    """(sorted findings from the three path rules, each path judged alone;
-    the topics whose log sites ran out of paths)."""
+    """(findings from the three path rules, each path judged alone, in the
+    order of those rules; the topics whose log sites ran out of paths)."""
     value_keys = icfg.value_keys
     tainted_by_event, il_by_event, nocheck_by_event = {}, {}, {}
     incomplete = set()
@@ -243,4 +243,4 @@ def reference_detect(icfg, sigdb=None, max_paths=MAX_PATHS):
     for topic0, paths in nocheck_by_event.items():
         findings.append(finding("EVENT_COUNTERFEITING", "NO_CONSTRAINT_EXTERNAL_CALL", topic0,
                                 {p.entry_function for p in paths}, paths))
-    return sorted(findings, key=BytecodeFinding.sort_key), incomplete
+    return findings, incomplete

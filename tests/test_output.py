@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import random
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -16,12 +17,17 @@ from hypothesis import strategies as st
 
 from test_acceptance import _synthetic_corpus
 
-from phantomscan import SCHEMA, jsonout
+from phantomscan import SCHEMA, jsonout, minisol
 from phantomscan._keccak import keccak256
 from phantomscan.cli import main
-from phantomscan.findings import CONFIDENCE_RANK, from_txlog, make_finding
+from phantomscan.evm import Bytecode
+from phantomscan.findings import (CONFIDENCE_RANK, from_bytecode, from_source, from_txlog,
+                                  make_finding)
+from phantomscan.lifter import SigDb, build_icfg
 from phantomscan.report import merge
-from phantomscan.resources import fixture_path
+from phantomscan.resources import fixture_path, fixture_root
+from phantomscan.symexec import analyze_source
+from phantomscan.taint import detect
 from phantomscan.txscan import load_rules_file, parse_record, read_records_file, scan_records
 
 
@@ -138,6 +144,54 @@ def test_scan_report_equals_json_dumps_on_c10_corpus():
     assert len(raw) > 1000
     doc, text = _report_document(merge(map(from_txlog, raw), caveats))
     assert text == reference(doc)
+
+
+# -- merge alone orders a report ---------------------------------------
+
+RULES = ["bridge_rules.yaml", "bridge_rules_strict.yaml"]
+ARTIFACTS = sorted(p.name for p in fixture_root().iterdir()
+                   if p.suffix in (".hex", ".msol") or p.name in CORPORA)
+
+
+def _layer_findings(name: str) -> tuple[list, list]:
+    """(findings, caveats) of one layer on one input, in the order the layer
+    finds them: a bundled .hex file under both bytecode modes, a bundled
+    .msol file, a bundled corpus under each bundled ruleset, or "c10", the
+    acceptance suite's corpus of 2,000 records."""
+    if name.endswith(".hex"):
+        sigdb = SigDb.from_file(fixture_path("sigdb.txt"))
+        icfg = build_icfg(Bytecode.from_hex_file(fixture_path(name)), sigdb)
+        return [from_bytecode(f, origin=name) for strict in (False, True)
+                for f in detect(icfg, sigdb, strict_eq2=strict)], []
+    if name.endswith(".msol"):
+        contract = minisol.load(fixture_path(name).read_text())
+        return [from_source(f, origin=name) for f in analyze_source(contract)], []
+    findings, caveats = [], []
+    for rules in RULES:
+        records = (_synthetic_corpus(2000) if name == "c10"
+                   else read_records_file(fixture_path(name)))
+        raw, cavs = scan_records(records, load_rules_file(fixture_path(rules)))
+        findings += map(from_txlog, raw)
+        caveats += cavs
+    return findings, caveats
+
+
+@pytest.mark.parametrize("names", [[n] for n in ARTIFACTS] + [["c10"], ARTIFACTS],
+                         ids=[*ARTIFACTS, "c10", "every-fixture"])
+def test_the_order_findings_reach_merge_in_moves_no_byte(names):
+    # merge's key ends with the unique id, so it alone orders a report
+    findings, caveats = [], []
+    for name in names:
+        fs, cavs = _layer_findings(name)
+        findings += fs
+        caveats += cavs
+    if len(names) > 1:
+        assert {f.layer for f in findings} == {"bytecode", "source", "logs"}
+    text = merge(findings, caveats).to_json()
+    rng = random.Random(24)
+    for _ in range(5):
+        rng.shuffle(findings)
+        assert merge(findings, caveats).to_json() == text
 
 
 # -- the report written in pieces --------------------------------------

@@ -133,7 +133,7 @@ def test_from_txlog_shape():
 
     raw, _ = scan_records(read_records_file(FIX["bridge_logs.jsonl"]),
                           load_rules_file(FIX["bridge_rules.yaml"]))
-    f = from_txlog(raw[1])
+    f = from_txlog(raw[0])
     assert f.layer == "logs" and f.kind == "RULE_VIOLATION"
     assert f.subject["logIndex"] == 2 and f.subject["project"] == "HarborBridge"
     assert f.evidence["check"] == "emitter-authenticity"

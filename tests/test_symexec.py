@@ -20,6 +20,11 @@ def load_src(body: str):
     return minisol.load(body)
 
 
+def findings_of(kind: str, contract) -> list:
+    """The findings of one check, as `analyze_source` returns them."""
+    return [f for f in analyze_source(contract) if f.kind == kind]
+
+
 class TestPathEnumeration:
     def test_straight_line_single_path(self):
         c = load_fixture("inconsistent")
@@ -119,7 +124,7 @@ class TestPathEnumeration:
 class TestInconsistencyCheck:
     def test_unvalidated_event_arguments_flagged(self):
         c = load_fixture("inconsistent")
-        f, = symexec.check_logging_inconsistency(c)
+        f, = findings_of("INCONSISTENT_LOGGING", c)
         assert f.kind == "INCONSISTENT_LOGGING"
         assert f.functions == ("requestWithdraw",)
         assert set(f.detail["unvalidated"]) == {"account", "assetType", "amount"}
@@ -128,7 +133,7 @@ class TestInconsistencyCheck:
 
     def test_guard_and_writes_validate_everything(self):
         c = load_fixture("inconsistent_safe")
-        assert symexec.check_logging_inconsistency(c) == []
+        assert findings_of("INCONSISTENT_LOGGING", c) == []
 
     def test_storage_write_key_counts_as_validation(self):
         # msg.sender is only used as a mapping key, never in a guard
@@ -138,7 +143,7 @@ class TestInconsistencyCheck:
                 m[msg.sender] = 1;
                 emit E(msg.sender);
             } }""")
-        assert symexec.check_logging_inconsistency(c) == []
+        assert findings_of("INCONSISTENT_LOGGING", c) == []
 
     def test_guard_key_counts_as_validation(self):
         c = load_src("""
@@ -147,11 +152,11 @@ class TestInconsistencyCheck:
                 require(m[msg.sender] > 0);
                 emit E(msg.sender);
             } }""")
-        assert symexec.check_logging_inconsistency(c) == []
+        assert findings_of("INCONSISTENT_LOGGING", c) == []
 
     def test_helper_emission_attributed_to_entry(self):
         c = load_fixture("relay")
-        f, = symexec.check_logging_inconsistency(c)
+        f, = findings_of("INCONSISTENT_LOGGING", c)
         assert f.functions == ("touch",)
         assert f.detail["unvalidated"] == {"code": ["code"]}
 
@@ -163,7 +168,7 @@ class TestInconsistencyCheck:
                 emit E(a);
                 loop(a);
             } }""")
-        findings = symexec.check_logging_inconsistency(c)
+        findings = findings_of("INCONSISTENT_LOGGING", c)
         assert findings
         assert all(f.confidence == "INCOMPLETE" for f in findings)
 
@@ -171,7 +176,7 @@ class TestInconsistencyCheck:
 class TestCounterfeitPairCheck:
     def test_compatible_pair_with_witness(self):
         c = load_fixture("counterfeit")
-        f, = symexec.check_counterfeit_pair(c)
+        f, = findings_of("EVENT_COUNTERFEITING", c)
         assert f.kind == "EVENT_COUNTERFEITING"
         assert f.functions == ("depositETH", "depositToken")
         assert f.detail["witness"]["token"] == 0
@@ -180,18 +185,18 @@ class TestCounterfeitPairCheck:
 
     def test_disjoint_guards_produce_nothing(self):
         c = load_fixture("disjoint")
-        assert symexec.check_counterfeit_pair(c) == []
+        assert findings_of("EVENT_COUNTERFEITING", c) == []
         assert analyze_source(c) == []
 
     def test_pair_through_internal_helper(self):
         c = load_fixture("relay")
-        f, = symexec.check_counterfeit_pair(c)
+        f, = findings_of("EVENT_COUNTERFEITING", c)
         assert f.functions == ("poke", "touch")
         assert f.detail["witness"]["code"] >= 1
 
     def test_single_emitter_is_not_a_pair(self):
         c = load_fixture("inconsistent")
-        assert symexec.check_counterfeit_pair(c) == []
+        assert findings_of("EVENT_COUNTERFEITING", c) == []
 
     def test_value_coupling_respects_both_guards(self):
         # f requires x in [10, 20], g requires x in [15, 30]:
@@ -204,7 +209,7 @@ class TestCounterfeitPairCheck:
             function g(uint256 a) external {
                 require(a >= 15); require(a <= 30); s = a; emit E(a);
             } }""")
-        found, = symexec.check_counterfeit_pair(c)
+        found, = findings_of("EVENT_COUNTERFEITING", c)
         assert 15 <= found.detail["witness"]["x"] <= 20
 
 

@@ -467,8 +467,8 @@ def test_blend_needs_both_sides():
     assert findings == []
     # a mixed one blends
     findings, _ = scan_records([redeem_log(1, 0, 1, VAULT), redeem_log(1, 1, 1, ATTACKER_CONTRACT)], rs)
-    assert [f.kind for f in findings] == ["BLENDED_EVENT", "RULE_VIOLATION"]
-    blend = findings[0]
+    assert [f.kind for f in findings] == ["RULE_VIOLATION", "BLENDED_EVENT"]
+    blend = findings[1]
     assert blend.log_index == 1 and blend.address == ATTACKER_CONTRACT
     assert blend.detail == {
         "authentic_logs": [0],
@@ -580,7 +580,7 @@ def test_streaming_equals_batch():
         for r in records:
             streamed.extend(scanner.feed(r))
         streamed.extend(scanner.finish())
-        assert sorted(streamed, key=lambda f: f.sort_key) == batch
+        assert streamed == batch
         assert scanner.caveats == caveats
 
 
@@ -592,10 +592,10 @@ def test_bridge_corpus_findings():
         read_records_file(fixture_path("bridge_logs.jsonl")), bridge_rules()
     )
     assert [(f.kind, f.check) for f in findings] == [
-        ("BLENDED_EVENT", None),
         ("RULE_VIOLATION", "emitter-authenticity"),
+        ("BLENDED_EVENT", None),
     ]
-    blend, violation = findings
+    violation, blend = findings
     assert blend.project == "HarborBridge"
     assert blend.block_number == 120 and blend.log_index == 2
     assert blend.address == ATTACKER_CONTRACT
@@ -667,8 +667,8 @@ def test_findings_serialize_to_json():
     again = json.dumps([from_txlog(f).to_json() for f in findings], sort_keys=True)
     assert blob == again
     parsed = json.loads(blob)
-    assert parsed[0]["kind"] == "BLENDED_EVENT"
-    assert parsed[1]["evidence"]["check"] == "emitter-authenticity"
+    assert parsed[0]["evidence"]["check"] == "emitter-authenticity"
+    assert parsed[1]["kind"] == "BLENDED_EVENT"
 
 
 def test_decode_event_against_rule_params():
