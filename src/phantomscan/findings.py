@@ -62,6 +62,12 @@ class Finding:
     # kind; make_finding fills it in, and sort_key encodes the subject when it is empty
     subject_json: str = field(default="", init=False, compare=False, repr=False)
 
+    def __reduce__(self):
+        # pickled as one call, with no state dict per finding: a log scan's
+        # workers send back tens of thousands
+        return _build, (self.id, self.layer, self.kind, self.confidence, self.subject,
+                           self.evidence, self.subject_json)
+
     def to_json(self) -> dict:
         return {
             "id": self.id,
@@ -83,15 +89,21 @@ class Finding:
         )
 
 
+def _build(id: str, layer: str, kind: str, confidence: str, subject: dict, evidence: dict,
+              subject_json: str) -> Finding:
+    """A Finding, its `subject_json` filled in."""
+    finding = Finding(id, layer, kind, confidence, subject, evidence)
+    finding.subject_json = subject_json
+    return finding
+
+
 def make_finding(layer: str, kind: str, confidence: str, subject: dict, evidence: dict) -> Finding:
     subject_json = _compact(subject)
     # the id hashes {"layer", "kind", "subject", "evidence"} as compact, key-sorted JSON
     blob = (f'{{"evidence":{_compact(evidence)},"kind":{encode_basestring_ascii(kind)},'
             f'"layer":{encode_basestring_ascii(layer)},"subject":{subject_json}}}')
-    finding = Finding(hashlib.sha256(blob.encode("ascii")).digest()[:16].hex(), layer, kind,
-                      confidence, subject, evidence)
-    finding.subject_json = subject_json
-    return finding
+    return _build(hashlib.sha256(blob.encode("ascii")).digest()[:16].hex(), layer, kind,
+                     confidence, subject, evidence, subject_json)
 
 
 def _artifact_subject(finding, origin: str, functions) -> dict:

@@ -26,8 +26,8 @@ values of its own (the per-procedure-instance view of IFDS).
 Memory is modelled only where LOG and KECCAK-style consumers need it:
 constant-offset MSTOREs are matched per 32-byte word within the whole
 unique-predecessor block chain leading to the consumer; anything else,
-an MCOPY in that chain or a store at an unknown address (an MSTORE8
-counts as one) nearer the consumer than a logged word's store included,
+an MCOPY in that chain, a store at an unknown address, or an MSTORE8
+into a logged word, nearer the consumer than that word's store included,
 becomes an opaque region variable fed by every store in scope, which
 keeps the analysis conservative instead of silently dropping dataflow.
 """
@@ -193,11 +193,15 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
     nearest first, and whether an MCOPY precedes it.  Unknown addresses
     come through as None, and so does a store that one at an unknown
     address follows, which may have overwritten its word; a known
-    address once, until an MCOPY is passed.  An MSTORE8 writes one byte
-    of a word, so it counts as a store at an unknown address."""
+    address once, until an MCOPY is passed.  An MSTORE8 writes one byte:
+    at an unknown address it counts as a store there; at a known one it
+    comes through as None, and so does every older store whose word holds
+    that byte, unless a nearer store's word already holds it."""
     found: list[tuple[int | None, str]] = []
     seen_addrs: set[int] = set()
+    bytes_stored: list[int] = []  # the known addresses of MSTORE8s passed
     copied = blurred = False
+    consts = icfg.consts
     for pos, off in enumerate(chain):
         tac = icfg.lifted[off].tac
         upto = idx if pos == 0 else len(tac)
@@ -205,13 +209,20 @@ def _mstores_before(icfg: Icfg, chain: list[int], idx: int
             copied = copied or t.op == "MCOPY"
             if t.op not in ("MSTORE", "MSTORE8"):
                 continue
-            addr = icfg.consts.get(t.uses[0]) if t.op == "MSTORE" else None
+            addr = consts.get(t.uses[0])
+            if t.op == "MSTORE8" and addr is not None:
+                if not copied and any(a <= addr < a + 32 for a in seen_addrs):
+                    continue  # a nearer store already covers this byte
+                bytes_stored.append(addr)
+                found.append((None, t.uses[1]))
+                continue
             if addr is not None and addr in seen_addrs and not copied:
                 continue  # a nearer store already covers this word
             if addr is not None:
                 seen_addrs.add(addr)
             blurred = blurred or addr is None
-            found.append((None if blurred else addr, t.uses[1]))
+            overwritten = blurred or any(addr <= b < addr + 32 for b in bytes_stored)
+            found.append((None if overwritten else addr, t.uses[1]))
     return found, copied
 
 

@@ -1,7 +1,14 @@
 """Event-log corpus scanning: ruleset checks, blend detection, spoofing."""
 
 from .abi import DecodeError, decode_data, decode_event, decode_topic
-from .records import LogRecord, RecordError, parse_record, read_records, read_records_file
+from .records import (
+    LogRecord,
+    RecordError,
+    line_ranges,
+    parse_record,
+    read_records,
+    read_records_file,
+)
 from .rules import (
     EventParam,
     EventRule,
@@ -17,8 +24,11 @@ from .scan import (
     APPROVAL_FOR_ALL_TOPIC,
     APPROVAL_TOPIC,
     TRANSFER_TOPIC,
+    RangeScan,
     Scanner,
     TxFinding,
+    join_ranges,
+    scan_range,
     scan_records,
 )
 
@@ -32,6 +42,7 @@ __all__ = [
     "LogRecord",
     "Predicate",
     "Project",
+    "RangeScan",
     "RecordError",
     "Ruleset",
     "RulesError",
@@ -41,10 +52,13 @@ __all__ = [
     "decode_event",
     "decode_topic",
     "event_topic0",
+    "join_ranges",
+    "line_ranges",
     "load_rules",
     "load_rules_file",
     "parse_record",
     "read_records",
     "read_records_file",
+    "scan_range",
     "scan_records",
 ]

@@ -9,7 +9,9 @@ transfers.  Hex strings are normalized to lowercase; topics are the raw
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -18,6 +20,7 @@ from typing import Iterable, Iterator
 class RecordError(ValueError):
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
+        self.reason = message
         super().__init__(f"line {lineno}: {message}")
 
 
@@ -166,3 +169,33 @@ def read_records(lines: Iterable[str | bytes]) -> Iterator[LogRecord]:
 def read_records_file(path: str | Path) -> Iterator[LogRecord]:
     with open(path, "rb") as fh:  # lines end at LF; `read_records` decodes each
         yield from read_records(fh)
+
+
+# The smallest byte range `line_ranges` makes.  On a 2-vCPU VM, `scan-logs`
+# of a corpus cut into two ranges against one pass (median of 12 runs each):
+# a 512 KiB corpus 10% slower, 1 MiB even, 2 MiB 4% faster, 4 MiB 15%
+# faster.  The fork, the pickled result and the join cost about what
+# scanning a 512 KiB range apart saves; 1 MiB leaves a margin.
+MIN_RANGE_BYTES = 1 << 20
+
+
+def line_ranges(path: str | Path, parts: int) -> list[tuple[int, int | None]]:
+    """Cut the file at `path` at line boundaries into at most `parts` byte
+    ranges (start, end) of about equal size, in file order; the last one's
+    end is None, which reads to the end of the file.  There is at most one
+    range per MIN_RANGE_BYTES of the file, so a file smaller than twice that,
+    or one that is not regular (a pipe, a terminal), is one range."""
+    info = os.stat(path)
+    parts = min(parts, info.st_size // MIN_RANGE_BYTES) if stat.S_ISREG(info.st_mode) else 1
+    starts = [0]
+    if parts > 1:
+        with open(path, "rb") as fh:
+            for i in range(1, parts):
+                target = info.st_size * i // parts
+                if target <= starts[-1]:
+                    continue  # a long line ran past it
+                fh.seek(target - 1)
+                fh.readline()  # to just after the first LF at or past target - 1
+                if fh.tell() < info.st_size:
+                    starts.append(fh.tell())
+    return list(zip(starts, [*starts[1:], None]))

@@ -110,6 +110,15 @@ def test_a_replaced_subject_orders_by_its_own_json():
     g = dataclasses.replace(f, subject={"a": 1})
     assert f.sort_key[3] == '{"a":2}' and g.sort_key[3] == '{"a":1}'
 
+
+def test_a_pickled_finding_keeps_its_fields_and_subject_json():
+    import pickle
+    f = make_finding("logs", "K", "CONFIRMED", {"a": [1, "x"]}, {"b": None})
+    g = pickle.loads(pickle.dumps(f, pickle.HIGHEST_PROTOCOL))
+    assert g == f and g.subject == f.subject and g.evidence == f.evidence
+    assert g.subject_json == f.subject_json == '{"a":[1,"x"]}'
+
+
 def _report_document(report):
     """The document a report stands for, built here from its parts (not by the
     code under test), and the text `report.to_json()` writes."""

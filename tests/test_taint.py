@@ -1259,8 +1259,8 @@ class TestCancunOpcodes:
 
 
 class TestSingleByteStores:
-    """An MSTORE8 writes one byte of a word, so the memory model counts it
-    as a store at an unknown address."""
+    """An MSTORE8 writes one byte of a word: the memory model blurs the word
+    that holds its byte, and only that word."""
 
     def test_a_byte_stored_into_the_logged_word_feeds_the_log(self):
         # the last byte of word 0 becomes calldata after a constant fills the word
@@ -1283,5 +1283,18 @@ class TestSingleByteStores:
         ]))
         op, = extract_log_ops(icfg)
         assert not op.synthetic
+        assert detect(icfg) == []
+        assert same_as_reference(icfg)
+
+    def test_a_byte_stored_into_another_word_leaves_the_logged_word_alone(self):
+        # the byte goes to 0x100, outside the logged word 0, which holds 42
+        icfg = build_icfg(one_function([
+            ("PUSH1", 42), ("PUSH1", 0), "MSTORE",
+            *WORD_4, ("PUSH2", 0x100), "MSTORE8",
+            *log1_of_word0("Paid(uint256)"), "STOP",
+        ]))
+        op, = extract_log_ops(icfg)
+        assert not op.synthetic
+        assert [icfg.consts.get(v) for v in op.data_vars] == [42]
         assert detect(icfg) == []
         assert same_as_reference(icfg)

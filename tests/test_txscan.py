@@ -1,6 +1,8 @@
 """Log-corpus scanning: records, ABI decode, rulesets, scanner checks."""
 
 import json
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from reference_records import reference_parse_record
 
 from phantomscan._keccak import event_topic
 from phantomscan.findings import from_txlog
+from phantomscan.report import merge
 from phantomscan.resources import fixture_path
 from phantomscan.txscan import (
     DecodeError,
@@ -21,11 +24,14 @@ from phantomscan.txscan import (
     decode_event,
     decode_topic,
     event_topic0,
+    join_ranges,
+    line_ranges,
     load_rules,
     load_rules_file,
     parse_record,
     read_records,
     read_records_file,
+    scan_range,
     scan_records,
 )
 
@@ -690,3 +696,284 @@ def test_project_rule_lookup_keeps_the_first_rule_of_a_topic():
     first, second, other = EventRule("A", (), 7), EventRule("B", (), 7), EventRule("C", (), 9)
     proj = Project("p", frozenset(), (first, second, other))
     assert proj.rules_by_topic == {7: first, 9: other}
+
+
+# -- byte ranges joined ------------------------------------------------
+
+T_APPROVAL_FOR_ALL = event_topic("ApprovalForAll(address,address,bool)")
+T_BURNED = event_topic("Burned(address,address,uint256,bytes,bytes)")
+PEOPLE = [f"0x{i:040x}" for i in range(0xA1, 0xA6)]
+TOKENS = ["0x" + "44" * 20, PTOKEN]
+EMITTERS = [VAULT, PTOKEN, ATTACKER_CONTRACT, "0x" + "cd" * 20]
+ZERO = "0x" + "00" * 20
+
+
+def ranged_corpus(seed: int, count: int) -> tuple[list[dict | None], bool]:
+    """c10-style rows in transactions of 1 to 4 logs, `Approval` and
+    `ApprovalForAll` grants and revocations among few owners and spenders
+    (so that they authorize later transfers), mints, burns, ERC-721
+    transfers, blended redemptions and anonymous logs; None is a blank
+    line.  An odd seed starts at block 0, an even one at block 7.  Also
+    whether the file ends without a final newline."""
+    rng = random.Random(seed)
+    rows: list[dict | None] = []
+    block = -1 if seed % 2 else 6
+    txn = 0
+    while len(rows) < count:
+        block += 1
+        log_index = 0
+        for _ in range(rng.randint(1, 2)):
+            txn += 1
+            sender = rng.choice(PEOPLE)
+            for _ in range(rng.randint(1, 4)):
+                roll = rng.random()
+                owner, other = rng.sample(PEOPLE, 2)
+                if rng.random() < 0.3:
+                    owner = sender
+                address = rng.choice(TOKENS)
+                if roll < 0.30:
+                    topics = [T_TRANSFER, t_addr(owner), t_addr(other)]
+                    data = enc(("uint256", rng.randint(0, 100)))
+                elif roll < 0.36:
+                    topics = [T_TRANSFER, t_addr(owner), t_addr(other), t_uint(rng.randint(0, 9))]
+                    data = "0x"
+                elif roll < 0.40:
+                    pair = [t_addr(ZERO), t_addr(other)]
+                    topics = [T_TRANSFER, *(pair if rng.random() < 0.5 else pair[::-1])]
+                    data = enc(("uint256", 1))
+                elif roll < 0.52:
+                    topics = [T_APPROVAL, t_addr(other), t_addr(rng.choice(PEOPLE))]
+                    data = enc(("uint256", rng.choice([0, 0, 1, 7])))
+                elif roll < 0.60:
+                    topics = [T_APPROVAL_FOR_ALL, t_addr(other), t_addr(rng.choice(PEOPLE))]
+                    data = enc(("bool", rng.random() < 0.6))
+                elif roll < 0.80:
+                    address = rng.choice(EMITTERS)
+                    topics = [T_REDEEM, t_addr(owner)]
+                    data = enc(("uint256", rng.randint(1, 9)), ("string", "r"), ("bytes", b""))
+                elif roll < 0.92:
+                    address = rng.choice(EMITTERS)
+                    topics = [T_BURNED, t_addr(owner), t_addr(other)]
+                    data = enc(("uint256", 1), ("bytes", b""), ("bytes", b""))
+                else:
+                    address = rng.choice(EMITTERS)
+                    topics = []
+                    data = "0x"
+                rows.append({
+                    "txHash": f"0x{txn:064x}", "logIndex": log_index, "blockNumber": block,
+                    "address": address, "topics": topics, "data": data, "txFrom": sender,
+                    "txTo": address, "txSelector": "0xaabbccdd",
+                })
+                log_index += 1
+                if rng.random() < 0.05:
+                    rows.append(None)
+    return rows, rng.random() < 0.5
+
+
+def write_rows(path, rows: list, final_newline: bool = True) -> list[dict | None]:
+    """Write `rows` as JSONL (a str row as is, None as a blank line) and
+    return, per line, the row written there."""
+    text = "\n".join("  " if row is None else row if isinstance(row, str) else json.dumps(row)
+                     for row in rows)
+    path.write_text(text + "\n" if final_newline else text, encoding="utf-8")
+    return list(rows)
+
+
+def line_starts(path) -> list[int]:
+    data = path.read_bytes()
+    return [0] + [i + 1 for i, b in enumerate(data) if b == 0x0A and i + 1 < len(data)]
+
+
+def ranges_at(path, cuts) -> list[tuple[int, int | None]]:
+    """The byte ranges of `path` cut before each line index in `cuts`."""
+    starts = line_starts(path)
+    offsets = sorted({starts[i] for i in cuts if i > 0})
+    return list(zip([0, *offsets], [*offsets, None]))
+
+
+def joined(path, ranges, rules, spoofing=True, wrap=None):
+    scans = [scan_range(path, start, end, rules, spoofing) for start, end in ranges]
+    return join_ranges(scans, rules, **({"wrap": wrap} if wrap else {}))
+
+
+def report_bytes(findings, caveats) -> str:
+    return merge(map(from_txlog, findings), caveats).to_json()
+
+
+def cut_sets(rows: list, rng: random.Random) -> list[list[int]]:
+    """Line indices to cut before: 0 to 5 random ones, and cuts inside a
+    transaction, right after an approval and before the last line."""
+    n = len(rows)
+    inside = [i for i in range(1, n) if rows[i] and rows[i - 1]
+              and rows[i]["txHash"] == rows[i - 1]["txHash"]]
+    after_approval = [i for i in range(1, n) if rows[i - 1] and rows[i - 1]["topics"][:1]
+                      in ([T_APPROVAL], [T_APPROVAL_FOR_ALL])]
+    sets = [sorted(rng.sample(range(1, n), k)) for k in range(6) for _ in range(3)]
+    sets += [rng.sample(inside, 3), rng.sample(after_approval, 3), [n - 1],
+             [rng.choice(inside), rng.choice(after_approval), n - 1],
+             sorted(rng.sample(inside, 5))]
+    return sets
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("spoofing", [True, False])
+def test_joined_ranges_equal_one_pass(tmp_path, seed, spoofing):
+    rows, no_final_newline = ranged_corpus(seed, 400)
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows, final_newline=not no_final_newline)
+    rules = bridge_rules()
+    one, caveats = scan_records(read_records_file(path), rules, spoofing=spoofing)
+    expected = [(f, f.detail) for f in one]
+    assert bool(caveats) == (spoofing and seed % 2 == 0)
+    assert any(f.kind == "TRANSFER_SPOOFING" for f in one) == spoofing
+    assert any(f.kind == "BLENDED_EVENT" for f in one)
+    for cuts in cut_sets(rows, random.Random(seed)):
+        ranges = ranges_at(path, cuts)
+        findings, got_caveats = joined(path, ranges, rules, spoofing)
+        assert [(f, f.detail) for f in findings] == expected, cuts
+        assert got_caveats == caveats
+        assert report_bytes(findings, got_caveats) == report_bytes(one, caveats)
+
+
+def test_a_cut_decides_what_an_approval_before_it_authorizes(tmp_path):
+    """A grant, a revocation and an operator flag in one range; transfers
+    they rule on in the next."""
+    def approval(i, topic, owner, spender, data):
+        return {"txHash": f"0x{i:064x}", "logIndex": 0, "blockNumber": i, "address": PTOKEN,
+                "topics": [topic, t_addr(owner), t_addr(spender)], "data": data,
+                "txFrom": owner, "txTo": PTOKEN, "txSelector": None}
+
+    def transfer(i, owner, spender):
+        row = approval(i, T_TRANSFER, owner, PEOPLE[4], enc(("uint256", 5)))
+        return {**row, "txFrom": spender}
+
+    a, b, c, d = PEOPLE[:4]
+    rows = [approval(1, T_APPROVAL, a, b, enc(("uint256", 9))),
+            approval(2, T_APPROVAL, a, c, enc(("uint256", 9))),
+            approval(3, T_APPROVAL, a, c, enc(("uint256", 0))),
+            approval(4, T_APPROVAL_FOR_ALL, d, b, enc(("bool", True))),
+            transfer(5, a, b), transfer(6, a, c), transfer(7, d, b), transfer(8, d, c)]
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows)
+    one, _ = scan_records(read_records_file(path))
+    assert [f.block_number for f in one] == [6, 8]
+    for cut in range(1, len(rows)):
+        findings, _ = joined(path, ranges_at(path, [cut]), None)
+        assert [(f, f.detail) for f in findings] == [(f, f.detail) for f in one], cut
+
+
+def test_the_caveat_comes_from_the_stream_s_first_record(tmp_path):
+    rows, _ = ranged_corpus(3, 60)
+    rows = [None, None, *[{**r, "blockNumber": r["blockNumber"] + 7} if r else r for r in rows]]
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows)
+    one, caveats = scan_records(read_records_file(path))
+    assert len(caveats) == 1
+    assert any(f.detail.get("approval_window_incomplete") for f in one)
+    for cuts in ([1], [2], [2, 30], [45]):
+        findings, got = joined(path, ranges_at(path, cuts), None)
+        assert got == caveats
+        assert [(f, f.detail) for f in findings] == [(f, f.detail) for f in one]
+
+
+def test_an_empty_or_blank_corpus_joins_to_nothing(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("")
+    assert joined(path, [(0, None)], None) == ([], [])
+    path.write_text("\n  \n\n")
+    assert joined(path, ranges_at(path, [1, 2]), None) == ([], [])
+
+
+def one_pass_error(path) -> str:
+    with pytest.raises(RecordError) as exc:
+        scan_records(read_records_file(path), bridge_rules())
+    return str(exc.value)
+
+
+def joined_error(path, ranges) -> str:
+    with pytest.raises(RecordError) as exc:
+        joined(path, ranges, bridge_rules())
+    return str(exc.value)
+
+
+def test_the_earlier_of_two_defects_is_reported(tmp_path):
+    rows, _ = ranged_corpus(5, 120)
+    rows[70] = '{"txHash": "0x12",'
+    rows[100] = "[1, 2]"
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows)
+    assert one_pass_error(path).startswith("line 71: invalid JSON")
+    for cuts in ([40], [40, 90], [71], [101], [40, 71, 90, 101, 110]):
+        assert joined_error(path, ranges_at(path, cuts)) == one_pass_error(path), cuts
+
+
+def test_an_out_of_order_record_right_after_a_cut_names_its_line(tmp_path):
+    rows, _ = ranged_corpus(6, 120)
+    rows = [r for r in rows if r]
+    rows[80], rows[81] = rows[81], rows[80]
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows)
+    message = one_pass_error(path)
+    assert message.startswith("line 82: records out of order")
+    for cuts in ([81], [40, 81], [81, 82], [30, 60, 81, 100]):
+        assert joined_error(path, ranges_at(path, cuts)) == message, cuts
+
+
+def test_a_byte_that_is_not_utf8_in_a_later_range_keeps_its_line_and_offset(tmp_path):
+    rows, _ = ranged_corpus(7, 120)
+    rows = [r for r in rows if r]
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows)
+    lines = path.read_bytes().split(b"\n")
+    lines[90] = lines[90][:30] + b"\xff" + lines[90][30:]
+    path.write_bytes(b"\n".join(lines))
+    message = one_pass_error(path)
+    assert message.startswith("line 91: invalid UTF-8: byte 0xff at offset 30")
+    for cuts in ([50], [50, 90], [91], [20, 60, 100]):
+        assert joined_error(path, ranges_at(path, cuts)) == message, cuts
+
+
+def test_line_ranges_cut_at_line_boundaries(tmp_path, monkeypatch):
+    from phantomscan.txscan import records
+    monkeypatch.setattr(records, "MIN_RANGE_BYTES", 100)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"x" * 99 + b"\n" + b"y" * 99 + b"\n")
+    assert line_ranges(path, 2) == [(0, 100), (100, None)]  # the half is a line start
+    path.write_bytes(b"x" * 50 + b"\n" + b"y" * 300 + b"\n" + b"z" * 20)
+    # thirds fall at 124 and 248, inside the second line, whose end is the one cut
+    assert line_ranges(path, 3) == [(0, 352), (352, None)]
+    assert line_ranges(path, 9) == [(0, 352), (352, None)]
+    assert line_ranges(path, 1) == [(0, None)]
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(2000)))
+    starts = set(line_starts(path))
+    for parts in range(1, 8):
+        ranges = line_ranges(path, parts)
+        assert len(ranges) == min(parts, path.stat().st_size // 100)
+        assert all(start in starts for start, _ in ranges)
+        assert [end for _, end in ranges[:-1]] == [start for start, _ in ranges[1:]]
+    monkeypatch.setattr(records, "MIN_RANGE_BYTES", 1 << 20)
+    assert line_ranges(path, 4) == [(0, None)]  # a small file is one range
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_line_ranges_keep_a_pipe_whole(tmp_path):
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    assert line_ranges(fifo, 4) == [(0, None)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="workers are forked, one per CPU this process may use")
+@pytest.mark.parametrize("spoofing", [True, False])
+def test_forked_ranges_equal_one_pass(tmp_path, spoofing):
+    from phantomscan import cli
+
+    rows, no_final_newline = ranged_corpus(8, 400)
+    path = tmp_path / "corpus.jsonl"
+    write_rows(path, rows, final_newline=not no_final_newline)
+    rules = bridge_rules()
+    one, caveats = scan_records(read_records_file(path), rules, spoofing=spoofing)
+    for cuts in ([100], [50, 150, 250], cut_sets(rows, random.Random(8))[-1]):
+        findings, got = cli._scan_ranges(str(path), ranges_at(path, cuts), rules, spoofing)
+        assert findings == [from_txlog(f) for f in one]
+        assert got == caveats

@@ -19,6 +19,10 @@ at the root of the checkout, keys sorted:
                {"seconds": wall time, "passed": n, "failed": n}, where
                failed counts pytest's failures and errors
     seed, seconds, src.lines (the lines of src/**/*.py)
+    cpus       how many CPUs the runs may use (`os.sched_getaffinity`):
+               `scan-logs` cuts a corpus into one byte range per CPU, so
+               the log workloads' figures depend on it
+    python     the interpreter's version, as `platform.python_version()`
 
 A run that exits non-zero is recorded as {"exit": code, "stderr": its
 last lines}.  Standard library only; `perfbench/` is run, not changed.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -93,6 +98,8 @@ def main(argv: list[str]) -> int:
         "seconds": SECONDS,
         "seed": SEED,
         "src.lines": src_lines(),
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
     }
     if record["dirty"]:
         print(f"WARNING: the working tree differs from {record['commit'][:12]}; "

@@ -7,7 +7,13 @@ fixtures, on the acceptance suite's c10 log corpus (50,000 records,
 seed 424242), on a few malformed sources, which pin the syntax
 errors' text and exit code, and on a few small log corpora (one valid in
 mixed case, the others each malformed in one way), which pin the record
-parser's errors the same way.  Last come the bytecode and source
+parser's errors the same way.  Then come four c10 corpora a few times
+`MIN_RANGE_BYTES` long, which `scan-logs` cuts into byte ranges on any
+machine with two CPUs or more: three with one defect past the middle
+(invalid JSON, a byte that is not UTF-8, a record out of order) and one
+whose transfers after the middle are authorized, or not, by approvals
+before it.  Where the cuts fall depends on the CPU count; the output
+must not.  Last come the bytecode and source
 analyses, `--json`, of every generated contract in the benchmark's
 seed-7 draws (`perfbench/gen_contracts.py`, fixtures left out), each
 written under its own generated file name.  It prints one line per
@@ -205,6 +211,49 @@ def c10_rows(count: int, keccak256) -> list[dict]:
     return rows
 
 
+SPLIT_ROWS = 6_000  # about 4 MiB of c10 rows, four times MIN_RANGE_BYTES
+_OWNER, _SPENDER, _STRANGER = (f"0x{i:040x}" for i in (0xB1, 0xB2, 0xB3))
+
+
+def split_corpora(rows: list[dict], keccak256) -> dict[str, bytes]:
+    """The split-size corpora, from the first SPLIT_ROWS of the c10 `rows`,
+    by file name."""
+    rows = rows[:SPLIT_ROWS]
+    past_middle = SPLIT_ROWS * 3 // 5
+
+    def text(rows: list) -> bytes:
+        return "".join(row if isinstance(row, str) else json.dumps(row) + "\n"
+                       for row in rows).encode("utf-8")
+
+    invalid_json = list(rows)
+    invalid_json[past_middle] = '{"txHash": "0x12",\n'
+    lines = text(rows).split(b"\n")
+    lines[past_middle] = lines[past_middle][:40] + b"\xff" + lines[past_middle][40:]
+    out_of_order = list(rows)
+    at = next(i for i in range(past_middle, SPLIT_ROWS)
+              if rows[i]["blockNumber"] != rows[i + 1]["blockNumber"])
+    out_of_order[at], out_of_order[at + 1] = rows[at + 1], rows[at]
+    # a grant and a revocation before the middle; transfers they rule on after it
+    approvals = list(rows)
+    token = "0x" + "44" * 20
+    t_approval = _topic("Approval(address,address,uint256)", keccak256)
+    t_transfer = _topic("Transfer(address,address,uint256)", keccak256)
+    for at, spender, value in ((SPLIT_ROWS // 4, _SPENDER, 7), (SPLIT_ROWS // 3, _STRANGER, 0)):
+        approvals[at] = {**rows[at], "address": token, "txTo": token, "txFrom": _OWNER,
+                         "topics": [t_approval, _t_addr(_OWNER), _t_addr(spender)],
+                         "data": _enc(("uint256", value))}
+    for at, spender in ((SPLIT_ROWS * 2 // 3, _SPENDER), (SPLIT_ROWS * 3 // 4, _STRANGER)):
+        approvals[at] = {**rows[at], "address": token, "txTo": token, "txFrom": spender,
+                         "topics": [t_transfer, _t_addr(_OWNER), _t_addr(rows[at]["txFrom"])],
+                         "data": _enc(("uint256", 1))}
+    return {
+        "split_invalid_json.jsonl": text(invalid_json),
+        "split_not_utf8.jsonl": b"\n".join(lines),
+        "split_out_of_order.jsonl": text(out_of_order),
+        "split_approvals.jsonl": text(approvals),
+    }
+
+
 def drawn_contracts() -> dict[str, str]:
     """The generated contracts of the benchmark's bytecode and source draws, by file name."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
@@ -263,6 +312,11 @@ def invocations(drawn=()) -> list[list[str]]:
              ["scan-logs", "mixed_case.jsonl", "--rules", "bridge_rules.yaml", "--json"]]
     for name in LOG_CASES:
         runs.append(["scan-logs", name])
+    for name in ("split_invalid_json", "split_not_utf8", "split_out_of_order"):
+        runs.append(["scan-logs", f"{name}.jsonl"])
+    runs += [["scan-logs", "split_approvals.jsonl", "--json"],
+             ["scan-logs", "split_approvals.jsonl", "--rules", "bridge_rules.yaml", "--json"],
+             ["report", "--logs", "split_approvals.jsonl", "--logs", "split_approvals.jsonl"]]
     for name in drawn:
         if name.endswith(".hex"):
             runs += [["analyze-bytecode", name, "--sigdb", "sigdb.txt", "--json"],
@@ -286,9 +340,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="phantomscan-digests-") as work:
         for item in fixtures.iterdir():
             shutil.copy(item, work)
+        rows = c10_rows(C10_RECORDS, keccak256)
         with open(Path(work) / "c10.jsonl", "w", encoding="utf-8") as fh:
-            for row in c10_rows(C10_RECORDS, keccak256):
+            for row in rows:
                 fh.write(json.dumps(row) + "\n")
+        for name, data in split_corpora(rows, keccak256).items():
+            (Path(work) / name).write_bytes(data)
         for name, text in {**LEXER_CASES, **LOG_CASES, **drawn}.items():
             (Path(work) / name).write_text(text, encoding="utf-8")
         for args in invocations(drawn):
