@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 means the analysis ran
 and found nothing, 1 means findings were produced, 2 means the input
-could not be processed, and 3 means the analysis itself failed (an
-internal error, reported on one stderr line without a traceback).
+could not be processed or the output could not be written, and 3 means
+the analysis itself failed (an internal error, reported on one stderr
+line without a traceback).
 Output is deterministic; there are no timestamps and all JSON is
 key-sorted.
 """
@@ -248,6 +249,13 @@ def _write_json(report, stream) -> None:
     """Write the report's JSON one finding at a time: its whole text is never held."""
     stream.writelines(report.json_pieces())
     stream.write("\n")
+    stream.flush()  # a closed stdout fails here, in the command, as `click.echo` does
+
+
+def _unwritable(name: str, exc: OSError):
+    """Exit 2: the output `name` cannot be written, which is no failure of the analysis."""
+    click.echo(f"error: {name}: {exc.strerror or exc}", err=True)
+    sys.exit(2)
 
 
 def _emit(report, as_json: bool) -> None:
@@ -283,6 +291,12 @@ class _Command(click.Command):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except BrokenPipeError as exc:  # stdout is the only pipe this process writes
+            # send what is still buffered to nowhere, so the flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            _unwritable(sys.stdout.name, exc)
         except Exception as exc:
             origin = (ctx.meta.get(_ORIGIN) or ctx.params.get("file")
                       or ctx.params.get("corpus") or ctx.info_name)
@@ -435,8 +449,11 @@ def report(bytecode_files, source_files, log_files, rules, sigdb, out) -> None:
 
     merged = merge(findings, caveats)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            _write_json(merged, fh)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                _write_json(merged, fh)
+        except OSError as exc:
+            _unwritable(out, exc)
         click.echo(f"wrote {out}")
     else:
         _write_json(merged, sys.stdout)

@@ -153,8 +153,10 @@ def _parse_predicate(raw, params: tuple[EventParam, ...], where: str) -> Predica
     if param.indexed and param.type in DYNAMIC_TYPES:
         raise RulesError(f"{where}: cannot predicate on indexed dynamic param {pname!r}")
     if param.type == "uint256":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise RulesError(f"{where}: predicate on {pname!r} needs a non-negative integer")
+        # a bound past the type's range would make `<` never fire and `>` always
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 256:
+            raise RulesError(f"{where}: predicate on {pname!r} needs a non-negative integer "
+                             "below 2**256")
     elif param.type == "address":
         if not isinstance(value, str) or not _HEX20(value):
             raise RulesError(f"{where}: predicate on {pname!r} needs a 20-byte hex address")
@@ -255,7 +257,7 @@ def load_rules(text: str) -> Ruleset:
         raise RulesError("invalid YAML: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise RulesError("ruleset must be a mapping")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
         raise RulesError("ruleset version must be 1")
     raw_projects = doc.get("projects")
     if not isinstance(raw_projects, list) or not raw_projects:

@@ -30,13 +30,16 @@ state folds over the stream from its first record, so a scan that does
 not start at block 0 carries a caveat that earlier approvals are
 invisible.
 
-A corpus file can also be scanned in byte ranges, each apart from the
-others (`scan_range`, in any order, process or executor), and the
-ranges' scans joined in file order (`join_ranges`).  The only state one
-record passes to the next is the order cursor, the open transaction, the
-approval maps and the stream's first record, and each of these joins
-exactly, as in a parallel prefix scan: the join gives the findings,
-caveats and first error of one pass over the whole file, in its order.
+There is one scanner: a fold of records into a `RangeScan`.  The only
+state one record passes to the next is the order cursor, the open
+transaction, the approval maps and the stream's first record, and each
+joins exactly, as in a parallel prefix scan.  So `scan_range` folds one
+byte range of a corpus file apart from the others (in any order, process
+or executor), and `join_ranges` joins the ranges' folds in file order
+into the findings, caveats and first error of one pass.  `scan_records`
+is the join of one range, the whole stream, and the streaming `Scanner`
+is a view of a fold that starts the stream: it returns each finding once
+it is settled and keeps no finding it has returned.
 """
 
 from __future__ import annotations
@@ -81,11 +84,8 @@ def _finding(record: LogRecord, *, kind: str, check: str | None, project: str | 
 
 
 def _out_of_order(record: LogRecord, cursor: tuple[int, int], lineno: int) -> RecordError:
-    return RecordError(
-        lineno,
-        f"records out of order: block {record.block_number} log {record.log_index} "
-        f"after block {cursor[0]} log {cursor[1]}",
-    )
+    return RecordError(lineno, f"records out of order: block {record.block_number} log "
+                               f"{record.log_index} after block {cursor[0]} log {cursor[1]}")
 
 
 def _topic_address(topic_hex: str) -> str:
@@ -95,66 +95,93 @@ def _topic_address(topic_hex: str) -> str:
 def _data_word(data_hex: str, index: int) -> int | None:
     raw = data_hex[2:] if data_hex.startswith("0x") else data_hex
     chunk = raw[index * 64 : (index + 1) * 64]
-    if len(chunk) != 64:
-        return None
-    return int(chunk, 16)
+    return int(chunk, 16) if len(chunk) == 64 else None
 
 
-class Scanner:
-    """Streaming log scanner.  feed() each record in order, then finish().
+@dataclass(slots=True)
+class RangeScan:
+    """The scan of one byte range of a corpus: its own findings, and what
+    `join_ranges` needs to settle the rest with the ranges before it.
+    Line numbers count from the range's first line."""
 
-    Per-log rule checks and the spoofing heuristic emit as soon as the
-    offending record arrives; blended-event findings need the whole
-    transaction and flush when the stream moves past it.  Records must
-    arrive sorted by (blockNumber, logIndex); logs of one transaction
-    must be contiguous.
+    findings: list = field(default_factory=list)
+    caveats: list[str] = field(default_factory=list)  # from the stream's first record
+    lines: int = 0  # lines read
+    first: LogRecord | None = None
+    last: tuple[int, int] | None = None  # (block, log index) of the last record
+    # the logs of the range's first transaction, which may have begun in an
+    # earlier range, and the index in `findings` where its blend check goes
+    # once a second transaction starts (None: it runs to the range's end);
+    # a range that starts the stream has no such transaction, and index 0
+    head: list[LogRecord] = field(default_factory=list)
+    head_end: int | None = None
+    tail: list[LogRecord] = field(default_factory=list)  # the last one's, when not the first
+    # spoofing findings an earlier range's approval may cancel: (index in
+    # `findings`, (token, owner, spender), allowance unset here, operator unset here)
+    candidates: list[tuple[int, tuple[str, str, str], bool, bool]] = field(default_factory=list)
+    allowance: dict = field(default_factory=dict)  # the approval state the range set
+    operator: dict = field(default_factory=dict)
+    # the first error: ("record", line, message), ("input", 0, message) for an
+    # OSError, or ("internal", 0, message) for a failure of the scan itself
+    error: tuple[str, int, str] | None = None
+
+
+class _Fold:
+    """The log scanner: a fold of records, sorted by (blockNumber, logIndex)
+    with each transaction's logs contiguous, into a `RangeScan`.
+
+    A record's rule and spoofing checks run when it arrives, and a
+    transaction's blend check when the fold moves past it.  The join
+    settles what an earlier range could change (the first transaction's
+    blend check, and a spoofing finding whose approval entries the fold
+    has not set), unless the fold starts the stream, and the last
+    transaction's blend check, which a later range may continue.
     """
 
-    def __init__(self, ruleset: Ruleset | None = None, spoofing: bool = True):
+    def __init__(self, ruleset: Ruleset | None, spoofing: bool, starts_stream: bool):
         self.ruleset = ruleset or Ruleset()
         self.spoofing = spoofing
-        self.caveats: list[str] = []
-        self._allowance: dict[tuple[str, str, str], bool] = {}
-        self._operator: dict[tuple[str, str, str], bool] = {}
+        self.starts_stream = starts_stream
+        self.scan = RangeScan(head_end=0 if starts_stream else None)
         self._tx_logs: list[LogRecord] = []
-        self._cursor: tuple[int, int] | None = None
-        self._started = False
-        self._finished = False
 
-    # -- streaming interface ------------------------------------------
-
-    def feed(self, record: LogRecord) -> list[TxFinding]:
-        if self._finished:
-            raise RuntimeError("scanner already finished")
+    def feed(self, record: LogRecord) -> None:
+        scan = self.scan
         pos = (record.block_number, record.log_index)
-        if self._cursor is not None and pos <= self._cursor:
-            raise _out_of_order(record, self._cursor, record.lineno)
-        self._cursor = pos
-        if not self._started:
-            self._start(record)
-        out: list[TxFinding] = []
+        if scan.last is not None and pos <= scan.last:
+            raise _out_of_order(record, scan.last, record.lineno)
+        scan.last = pos
+        if scan.first is None:
+            scan.first = record
+            if self.starts_stream:
+                self.caveat_from(record)
         if self._tx_logs and self._tx_logs[0].tx_hash != record.tx_hash:
-            out.extend(self._flush_tx())
+            logs, self._tx_logs = self._tx_logs, []
+            if scan.head_end is None:
+                scan.head, scan.head_end = logs, len(scan.findings)
+            else:
+                scan.findings += _blend_check(self.ruleset, logs)
         self._tx_logs.append(record)
-
-        out.extend(self._rule_checks(record))
+        scan.findings += self._rule_checks(record)
         if self.spoofing:
-            out.extend(self._spoof_check(record))
+            self._spoof_check(record)
             self._fold_approval(record)
-        return out
 
-    def finish(self) -> list[TxFinding]:
-        if self._finished:
-            raise RuntimeError("scanner already finished")
-        self._finished = True
-        return self._flush_tx()
+    def finish(self) -> RangeScan:
+        """The scan, with the open transaction's logs left to the join."""
+        scan = self.scan
+        if scan.head_end is None:
+            scan.head = self._tx_logs
+        else:
+            scan.tail = self._tx_logs
+        self._tx_logs = []
+        return scan
 
-    def _start(self, record: LogRecord) -> None:
-        """Take `record` as the stream's first."""
-        self._started = True
-        if self.spoofing and record.block_number > 0:
-            self.caveats.append(
-                f"scan starts at block {record.block_number}; approvals granted "
+    def caveat_from(self, first: LogRecord) -> None:
+        """Take `first` as the stream's first record."""
+        if self.spoofing and first.block_number > 0:
+            self.scan.caveats.append(
+                f"scan starts at block {first.block_number}; approvals granted "
                 "earlier are invisible, so spoofing findings may include "
                 "transfers that were in fact authorized"
             )
@@ -257,17 +284,11 @@ class Scanner:
                 )
         return out
 
-    # -- per-transaction blend check ----------------------------------
-
-    def _flush_tx(self) -> list[TxFinding]:
-        logs, self._tx_logs = self._tx_logs, []
-        return _blend_check(self.ruleset, logs)
-
     # -- transfer spoofing --------------------------------------------
 
-    def _spoof_check(self, record: LogRecord) -> list[TxFinding]:
+    def _spoof_check(self, record: LogRecord) -> None:
         if record.topic0 != TRANSFER_TOPIC:
-            return []
+            return
         if len(record.topics) == 3:
             standard = "erc20"
             detail_extra = {"value": _data_word(record.data, 0)}
@@ -275,56 +296,39 @@ class Scanner:
             standard = "erc721"
             detail_extra = {"tokenId": int(record.topics[3], 16)}
         else:
-            return []
+            return
         from_addr = _topic_address(record.topics[1])
         to_addr = _topic_address(record.topics[2])
-        if from_addr == ZERO_ADDRESS or to_addr == ZERO_ADDRESS:
-            return []
-        if record.tx_from == from_addr:
-            return []
-        if self._approved((record.address, from_addr, record.tx_from)):
-            return []
-        detail = {
-            "standard": standard,
-            "from": from_addr,
-            "to": to_addr,
-            "txFrom": record.tx_from,
-            **detail_extra,
-        }
-        if self.caveats:
+        if ZERO_ADDRESS in (from_addr, to_addr) or record.tx_from == from_addr:
+            return
+        scan = self.scan
+        # whether the approvals seen so far let the sender move the owner's tokens
+        key = (record.address, from_addr, record.tx_from)
+        allowed, operator = scan.allowance.get(key), scan.operator.get(key)
+        if allowed or operator:
+            return
+        detail = {"standard": standard, "from": from_addr, "to": to_addr,
+                  "txFrom": record.tx_from, **detail_extra}
+        if scan.caveats:
             detail["approval_window_incomplete"] = True
-        return [
-            _finding(
-                record,
-                kind="TRANSFER_SPOOFING",
-                check=None,
-                project=None,
-                event="Transfer",
-                confidence=POTENTIAL,
-                detail=detail,
-            )
-        ]
-
-    def _approved(self, key: tuple[str, str, str]) -> bool:
-        """Whether the approvals seen so far let the spender of `key`, a
-        (token, owner, spender), move the owner's tokens."""
-        return bool(self._allowance.get(key) or self._operator.get(key))
+        if not self.starts_stream and (allowed is None or operator is None):
+            # an approval in an earlier range may have authorized it
+            scan.candidates.append((len(scan.findings), key, allowed is None, operator is None))
+        scan.findings.append(_finding(record, kind="TRANSFER_SPOOFING", check=None, project=None,
+                                      event="Transfer", confidence=POTENTIAL, detail=detail))
 
     def _fold_approval(self, record: LogRecord) -> None:
-        if record.topic0 == APPROVAL_TOPIC and len(record.topics) == 3:
-            value = _data_word(record.data, 0)
-            if value is None:
-                return
-            owner = _topic_address(record.topics[1])
-            spender = _topic_address(record.topics[2])
-            self._allowance[(record.address, owner, spender)] = value > 0
-        elif record.topic0 == APPROVAL_FOR_ALL_TOPIC and len(record.topics) == 3:
-            flag = _data_word(record.data, 0)
-            if flag is None:
-                return
-            owner = _topic_address(record.topics[1])
-            operator = _topic_address(record.topics[2])
-            self._operator[(record.address, owner, operator)] = flag != 0
+        """Record an allowance or operator flag, granted or revoked."""
+        if record.topic0 == APPROVAL_TOPIC:
+            approvals = self.scan.allowance
+        elif record.topic0 == APPROVAL_FOR_ALL_TOPIC:
+            approvals = self.scan.operator
+        else:
+            return
+        word = _data_word(record.data, 0)
+        if len(record.topics) == 3 and word is not None:
+            owner, spender = _topic_address(record.topics[1]), _topic_address(record.topics[2])
+            approvals[(record.address, owner, spender)] = word != 0
 
 
 def _blend_check(ruleset: Ruleset, logs: list[LogRecord]) -> list[TxFinding]:
@@ -358,105 +362,44 @@ def _blend_check(ruleset: Ruleset, logs: list[LogRecord]) -> list[TxFinding]:
     return out
 
 
-def scan_records(
-    records: Iterable[LogRecord],
-    ruleset: Ruleset | None = None,
-    spoofing: bool = True,
-) -> tuple[list[TxFinding], list[str]]:
-    """Scan a full record stream.  Returns the findings, in the order the
-    scanner emits them, and the caveats."""
-    scanner = Scanner(ruleset, spoofing=spoofing)
-    findings: list[TxFinding] = []
+def scan_records(records: Iterable[LogRecord], ruleset: Ruleset | None = None,
+                 spoofing: bool = True) -> tuple[list[TxFinding], list[str]]:
+    """Scan a full record stream, the join of one range: the findings, in
+    the order the scanner emits them, and the caveats."""
+    fold = _Fold(ruleset, spoofing, starts_stream=True)
     for record in records:
-        findings.extend(scanner.feed(record))
-    findings.extend(scanner.finish())
-    return findings, list(scanner.caveats)
+        fold.feed(record)
+    return join_ranges([fold.finish()], fold.ruleset)
 
 
-# -- byte ranges of a corpus file ------------------------------------------
+class Scanner:
+    """Streaming log scanner.  feed() each record in order, then finish().
 
+    A view of a fold that starts the stream, so no finding waits on an
+    earlier range: each call returns the findings it settles, in the order
+    of `scan_records`, and the scanner keeps no finding it has returned."""
 
-@dataclass(slots=True)
-class RangeScan:
-    """The scan of one byte range of a corpus: its own findings, and what
-    `join_ranges` needs to settle the rest with the ranges before it.
-    Line numbers count from the range's first line."""
-
-    findings: list = field(default_factory=list)
-    caveats: list[str] = field(default_factory=list)  # from the stream's first record
-    lines: int = 0  # lines read
-    first: LogRecord | None = None
-    last: tuple[int, int] | None = None  # (block, log index) of the last record
-    # the logs of the range's first transaction, which may have begun in an
-    # earlier range, and the index in `findings` where its blend check goes
-    # once a second transaction starts (None: it runs to the range's end)
-    head: list[LogRecord] = field(default_factory=list)
-    head_end: int | None = None
-    tail: list[LogRecord] = field(default_factory=list)  # the last one's, when not the first
-    # spoofing findings an earlier range's approval may cancel: (index in
-    # `findings`, (token, owner, spender), allowance unset here, operator unset here)
-    candidates: list[tuple[int, tuple[str, str, str], bool, bool]] = field(default_factory=list)
-    allowance: dict = field(default_factory=dict)  # the approval state the range set
-    operator: dict = field(default_factory=dict)
-    # the first error: ("record", line, message), ("input", 0, message) for an
-    # OSError, or ("internal", 0, message) for a failure of the scan itself
-    error: tuple[str, int, str] | None = None
-
-
-class _RangeScanner(Scanner):
-    """A Scanner over one range of a stream.  It leaves to the join the
-    blend checks of the range's first and last transactions, and decides a
-    transfer's spoofing check only if the range itself set the approval
-    entries that could authorize it."""
-
-    def __init__(self, scan: RangeScan, ruleset: Ruleset | None, spoofing: bool):
-        super().__init__(ruleset, spoofing)
-        self.scan = scan
-        self.caveats = scan.caveats
-        self._allowance = scan.allowance
-        self._operator = scan.operator
-        self._undecided: tuple | None = None
+    def __init__(self, ruleset: Ruleset | None = None, spoofing: bool = True):
+        self._fold = _Fold(ruleset, spoofing, starts_stream=True)
+        self.caveats = self._fold.scan.caveats
+        self._finished = False
 
     def feed(self, record: LogRecord) -> list[TxFinding]:
-        scan = self.scan
-        if scan.first is None:
-            scan.first = record
-        out = super().feed(record)
-        scan.findings += out
-        if self._undecided is not None:  # the spoofing finding, last of `out`
-            scan.candidates.append((len(scan.findings) - 1, *self._undecided))
-            self._undecided = None
-        return out
+        if self._finished:
+            raise RuntimeError("scanner already finished")
+        self._fold.feed(record)
+        scan = self._fold.scan
+        found, scan.findings = scan.findings, []
+        return found
 
     def finish(self) -> list[TxFinding]:
         if self._finished:
             raise RuntimeError("scanner already finished")
         self._finished = True
-        scan = self.scan
-        if scan.head_end is None:
-            scan.head = self._tx_logs
-        else:
-            scan.tail = self._tx_logs
-        scan.last = self._cursor
-        self._tx_logs = []
-        return []
+        return join_ranges([self._fold.finish()], self._fold.ruleset)[0]
 
-    def _flush_tx(self) -> list[TxFinding]:
-        scan = self.scan
-        if scan.head_end is not None:
-            return super()._flush_tx()
-        scan.head, self._tx_logs = self._tx_logs, []
-        scan.head_end = len(scan.findings)  # `feed` adds this record's findings after
-        return []
 
-    def _approved(self, key: tuple[str, str, str]) -> bool:
-        allowed = self._allowance.get(key)
-        operator = self._operator.get(key)
-        if allowed or operator:
-            return True
-        if allowed is None or operator is None:
-            self._undecided = (key, allowed is None, operator is None)
-        return False
+# -- byte ranges of a corpus file ------------------------------------------
 
 
 def scan_range(path: str | Path, start: int = 0, end: int | None = None,
@@ -465,8 +408,8 @@ def scan_range(path: str | Path, start: int = 0, end: int | None = None,
     the end of the file).  Both must be line boundaries, as `line_ranges`
     cuts them.  A record or input error ends the range's scan and is kept
     in its `error`; anything else is raised."""
-    scan = RangeScan()
-    scanner = _RangeScanner(scan, ruleset, spoofing)
+    fold = _Fold(ruleset, spoofing, starts_stream=not start)
+    scan = fold.scan
 
     def lines(fh):
         left = end - start if end is not None else None
@@ -486,11 +429,11 @@ def scan_range(path: str | Path, start: int = 0, end: int | None = None,
                 except RecordError:
                     first = None  # the scan stops at or before this line
                 if first is not None:
-                    scanner._start(first)
+                    fold.caveat_from(first)
                 fh.seek(start)
             for record in read_records(lines(fh)):
-                scanner.feed(record)
-        scanner.finish()
+                fold.feed(record)
+        fold.finish()
     except RecordError as exc:
         scan.error = ("record", exc.lineno, exc.reason)
     except OSError as exc:

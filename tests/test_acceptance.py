@@ -12,10 +12,11 @@ import time
 
 from click.testing import CliRunner
 
+from reference_scan import ReferenceScanner
 from test_solver import TestAgainstBruteForce as _BruteForceSuite
 from test_taint import FIXTURES as HEX_FIXTURES
 from test_taint import icfg_for, oracle_traces
-from test_txscan import enc, rec, t_addr
+from test_txscan import detailed, enc, rec, t_addr
 
 from phantomscan._keccak import event_topic
 from phantomscan.cli import main as cli_main
@@ -255,12 +256,16 @@ def test_c10_chunked_scan_equals_one_pass_on_1000_log_corpus():
     chunked = []
     for start in range(0, len(records), 97):
         for record in records[start:start + 97]:
-            chunked.extend(scanner.feed(record))
-    chunked.extend(scanner.finish())
+            chunked.append(scanner.feed(record))
+    chunked.append(scanner.finish())
     elapsed = time.monotonic() - t0
 
-    assert chunked == batch
-    assert scanner.caveats == batch_caveats
+    # the former one-pass scanner: each finding returned by the call that settles it
+    oracle = ReferenceScanner(rules)
+    expected = [oracle.feed(record) for record in records] + [oracle.finish()]
+    assert chunked == expected
+    assert detailed(sum(chunked, [])) == detailed(batch) == detailed(sum(expected, []))
+    assert scanner.caveats == batch_caveats == oracle.caveats
     # non-vacuous: the corpus must actually trigger every detector family
     kinds = {f.kind for f in batch}
     assert {"BLENDED_EVENT", "RULE_VIOLATION", "TRANSFER_SPOOFING"} <= kinds

@@ -36,6 +36,11 @@ def runner():
     return CliRunner()
 
 
+def _bridge_lines() -> list[str]:
+    """The lines of the bundled bridge corpus, each with its newline."""
+    return Path(FIX["bridge_logs.jsonl"]).read_text(encoding="utf-8").splitlines(keepends=True)
+
+
 # -- findings ----------------------------------------------------------
 
 
@@ -260,7 +265,7 @@ def test_cli_report_requires_input():
 
 def test_cli_out_of_order_record_names_its_line(tmp_path):
     first, second = (json.loads(line) for line in
-                     open(FIX["bridge_logs.jsonl"], encoding="utf-8").readlines()[:2])
+                     _bridge_lines()[:2])
     second["blockNumber"] = first["blockNumber"]
     first["logIndex"], second["logIndex"] = 1, 0
     corpus = tmp_path / "swapped.jsonl"
@@ -305,7 +310,7 @@ def test_cli_rejects_a_literal_out_of_its_range_with_its_position(tmp_path, stat
 
 
 def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
-    first = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    first = json.loads(_bridge_lines()[0])
     first["address"] = "0x" + "11" * 20 + "\n"
     corpus = tmp_path / "newline.jsonl"
     corpus.write_text(json.dumps(first) + "\n")
@@ -317,7 +322,7 @@ def test_cli_rejects_an_address_with_a_trailing_newline(tmp_path):
 
 def _corpus_with(tmp_path, line: str) -> Path:
     """A two-line corpus: a valid record, then ``line``."""
-    first = open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline()
+    first = _bridge_lines()[0]
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text(first + line + "\n", encoding="utf-8")
     return corpus
@@ -325,7 +330,7 @@ def _corpus_with(tmp_path, line: str) -> Path:
 
 def test_cli_rejects_a_deeply_nested_line_naming_it(tmp_path):
     # the decoder's RecursionError used to exit 3 as an internal error
-    record = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    record = json.loads(_bridge_lines()[0])
     depth = 100_000  # past the recursion limit of any interpreter
     line = json.dumps(record)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
     corpus = _corpus_with(tmp_path, line)
@@ -340,7 +345,7 @@ def test_cli_rejects_a_deeply_nested_line_naming_it(tmp_path):
                     reason="no limit on the digits int() converts")
 def test_cli_rejects_a_number_of_too_many_digits_naming_its_line(tmp_path):
     # json.loads raises a plain ValueError here, which used to lose the line number
-    record = json.loads(open(FIX["bridge_logs.jsonl"], encoding="utf-8").readline())
+    record = json.loads(_bridge_lines()[0])
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     line = json.dumps(record).replace('"logIndex": ', f'"logIndex": {digits}, "was": ', 1)
     corpus = _corpus_with(tmp_path, line)
@@ -419,6 +424,36 @@ def test_cli_report_out_file_equals_stdout(tmp_path):
     assert to_file.stdout == f"wrote {out}\n"
     assert out.read_bytes() == to_stdout.stdout_bytes
     assert json.loads(out.read_bytes())["summary"]["superseded"] == 1
+
+
+def test_cli_report_out_that_cannot_be_written_exits_2(tmp_path):
+    # it used to exit 3, an internal error, after every analysis had run
+    out = tmp_path / "missing" / "report.json"
+    res = runner().invoke(main, ["report", "--logs", FIX["spoof_logs.jsonl"], "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {out}: No such file or directory\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["scan-logs", "--json", FIX["bridge_logs.jsonl"]],
+    ["scan-logs", FIX["bridge_logs.jsonl"]],
+    ["report", "--logs", FIX["bridge_logs.jsonl"]],
+], ids=["scan-logs-json", "scan-logs-text", "report"])
+def test_cli_closed_stdout_exits_2(args):
+    # a reader that went away (`| head -c 10`) used to give exit 3, an internal error
+    src = str(Path(phantomscan.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "phantomscan.cli", *args], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert run.stderr == "error: <stdout>: Broken pipe\n"
 
 
 _LOADED_MODULES = """

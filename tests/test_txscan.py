@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_records import reference_parse_record
+from reference_scan import ReferenceScanner, reference_scan_records
 
 from phantomscan._keccak import event_topic
 from phantomscan.findings import from_txlog
@@ -404,6 +405,8 @@ def test_ruleset_validation_errors():
             load_rules(_yaml.safe_dump(doc))
 
     check({"version": 2, "projects": []}, "version must be 1")
+    check({"version": True, "projects": []}, "version must be 1")  # == 1 in Python
+    check({"version": 1.0, "projects": []}, "version must be 1")
     check({"version": 1, "projects": []}, "non-empty list")
     check(_rules_doc(params=[{"name": "x", "type": "uint128", "indexed": False}]),
           "unsupported param type")
@@ -416,6 +419,8 @@ def test_ruleset_validation_errors():
     check(_rules_doc(predicates=[{"param": "x", "op": "~", "value": 0}]), "op must be")
     check(_rules_doc(predicates=[{"param": "x", "op": ">", "value": -1}]),
           "non-negative integer")
+    check(_rules_doc(predicates=[{"param": "x", "op": "<", "value": 1 << 256}]),
+          r"non-negative integer below 2\*\*256")
     check(_rules_doc(expected_selectors=["0x123"]), "4-byte")
     check(_rules_doc(bogus=1), "unknown keys")
     doc = _rules_doc()
@@ -573,6 +578,16 @@ def test_spoofing_can_be_disabled():
     assert caveats == []
 
 
+def detailed(findings) -> list:
+    """The findings with their details, which `==` on a finding skips."""
+    return [(f, f.detail) for f in findings]
+
+
+def fed_one_by_one(scanner, records) -> list[list]:
+    """What each `feed` of `records`, then `finish`, returns."""
+    return [scanner.feed(r) for r in records] + [scanner.finish()]
+
+
 def test_streaming_equals_batch():
     for corpus, rules in [
         ("bridge_logs.jsonl", bridge_rules()),
@@ -581,13 +596,13 @@ def test_streaming_equals_batch():
     ]:
         records = list(read_records_file(fixture_path(corpus)))
         batch, caveats = scan_records(records, rules)
-        scanner = Scanner(rules)
-        streamed = []
-        for r in records:
-            streamed.extend(scanner.feed(r))
-        streamed.extend(scanner.finish())
-        assert streamed == batch
-        assert scanner.caveats == caveats
+        scanner, oracle = Scanner(rules), ReferenceScanner(rules)
+        streamed = fed_one_by_one(scanner, records)
+        expected = fed_one_by_one(oracle, records)
+        assert streamed == expected  # each finding returned by the call that settles it
+        assert detailed(sum(streamed, [])) == detailed(sum(expected, []))
+        assert detailed(batch) == detailed(sum(expected, []))
+        assert scanner.caveats == caveats == oracle.caveats
 
 
 # -- frozen corpus outcomes --------------------------------------------
@@ -793,6 +808,8 @@ def ranges_at(path, cuts) -> list[tuple[int, int | None]]:
 
 def joined(path, ranges, rules, spoofing=True, wrap=None):
     scans = [scan_range(path, start, end, rules, spoofing) for start, end in ranges]
+    # the first range starts the stream, so none of its findings waits on an earlier one
+    assert scans[0].head == [] and scans[0].candidates == []
     return join_ranges(scans, rules, **({"wrap": wrap} if wrap else {}))
 
 
@@ -822,17 +839,24 @@ def test_joined_ranges_equal_one_pass(tmp_path, seed, spoofing):
     path = tmp_path / "corpus.jsonl"
     write_rows(path, rows, final_newline=not no_final_newline)
     rules = bridge_rules()
-    one, caveats = scan_records(read_records_file(path), rules, spoofing=spoofing)
-    expected = [(f, f.detail) for f in one]
+    records = list(read_records_file(path))
+    reference, caveats = reference_scan_records(records, rules, spoofing=spoofing)
+    expected = detailed(reference)
     assert bool(caveats) == (spoofing and seed % 2 == 0)
-    assert any(f.kind == "TRANSFER_SPOOFING" for f in one) == spoofing
-    assert any(f.kind == "BLENDED_EVENT" for f in one)
+    assert any(f.kind == "TRANSFER_SPOOFING" for f in reference) == spoofing
+    assert any(f.kind == "BLENDED_EVENT" for f in reference)
+    one, one_caveats = scan_records(records, rules, spoofing=spoofing)
+    assert detailed(one) == expected and one_caveats == caveats
+    scanner = Scanner(rules, spoofing=spoofing)
+    streamed = fed_one_by_one(scanner, records)
+    assert streamed == fed_one_by_one(ReferenceScanner(rules, spoofing=spoofing), records)
+    assert detailed(sum(streamed, [])) == expected and scanner.caveats == caveats
     for cuts in cut_sets(rows, random.Random(seed)):
         ranges = ranges_at(path, cuts)
         findings, got_caveats = joined(path, ranges, rules, spoofing)
-        assert [(f, f.detail) for f in findings] == expected, cuts
+        assert detailed(findings) == expected, cuts
         assert got_caveats == caveats
-        assert report_bytes(findings, got_caveats) == report_bytes(one, caveats)
+        assert report_bytes(findings, got_caveats) == report_bytes(reference, caveats)
 
 
 def test_a_cut_decides_what_an_approval_before_it_authorizes(tmp_path):
